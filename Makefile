@@ -10,7 +10,8 @@ MEM ?=
 BASE ?= BENCH_PR5.json
 
 .PHONY: test bench bench-scaling bench-compare bench-quick calibrate \
-	calibrate-check docs-check experiments examples quickcheck clean
+	calibrate-check docs-check experiments examples quickcheck clean \
+	perfbench perfbench-test
 
 test:
 	$(PYTHON) -m pytest tests/
@@ -67,6 +68,14 @@ calibrate-check:
 
 bench-quick:
 	PYTHONPATH=src $(PYTHON) tools/bench_quick.py
+
+# The cold, layered benchmark (perfbench/README.md): every workload,
+# every metric, fresh child processes with the result cache off.
+perfbench:
+	$(PYTHON) perfbench/run.py --workload all
+
+perfbench-test:
+	$(PYTHON) -m pytest perfbench -q
 
 experiments:
 	$(PYTHON) -m repro experiments -o EXPERIMENTS.md

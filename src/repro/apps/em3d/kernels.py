@@ -29,8 +29,10 @@ the model rather than being pasted in.
 
 from __future__ import annotations
 
+from array import array as _array
 from dataclasses import dataclass
 
+from repro import vector as _vector
 from repro.apps.em3d.graph import Em3dGraph, initial_values
 from repro.params import CYCLE_NS, LINE_BYTES, LOCAL_ADDR_MASK, WORD_BYTES
 from repro.splitc.gptr import ADDR_MASK as GPTR_ADDR_MASK
@@ -40,7 +42,7 @@ from repro.node.write_buffer import PendingWrite
 from repro.splitc.runtime import run_splitc
 from repro.trace import tracer as _trace
 
-__all__ = ["Em3dResult", "Layout", "VERSIONS", "run_em3d"]
+__all__ = ["Em3dResult", "Layout", "VERSIONS", "compute_phase", "run_em3d"]
 
 VERSIONS = ("simple", "bundle", "unroll", "get", "put", "bulk", "msg")
 
@@ -128,7 +130,6 @@ def _setup(machine, graph: Em3dGraph, version: str,
     nedges = n * graph.degree
     e0 = initial_values(graph, "e", seed)
     h0 = initial_values(graph, "h", seed)
-    from array import array as _array
     for pe in range(graph.num_pes):
         mem = machine.node(pe).memsys.memory
         # Fields, ghosts, and adjacency live in flat typed segments;
@@ -150,13 +151,9 @@ def _setup(machine, graph: Em3dGraph, version: str,
             vals = layout.h_vals if direction == "e" else layout.e_vals
             ghosts = layout.e_ghosts if direction == "e" else layout.h_ghosts
             base = layout.e_adj if direction == "e" else layout.h_adj
-            refs = mem.alloc_segment(base, nedges, "i8",
-                                     entry_words * WORD_BYTES)
-            weights = mem.alloc_segment(base + WORD_BYTES, nedges, "f8",
-                                        entry_words * WORD_BYTES)
-            write_ref = refs.write
-            write_weight = weights.write
-            j = 0
+            ref_list = []
+            weight_list = []
+            slots = plan.ghost_slot[pe]
             for edges in adj[pe]:
                 for owner, idx, weight in edges:
                     if version == "simple":
@@ -165,12 +162,34 @@ def _setup(machine, graph: Em3dGraph, version: str,
                     elif owner == pe:
                         ref = vals + idx * VALUE_BYTES
                     else:
-                        slot = plan.ghost_slot[pe][(owner, idx)]
-                        ref = ghosts + slot * ghost_stride
-                    write_ref(j, ref)
-                    write_weight(j, weight)
-                    j += 1
+                        ref = ghosts + slots[(owner, idx)] * ghost_stride
+                    ref_list.append(ref)
+                    weight_list.append(weight)
+            _fill_segment(mem.alloc_segment(base, nedges, "i8",
+                                            entry_words * WORD_BYTES),
+                          ref_list)
+            _fill_segment(mem.alloc_segment(base + WORD_BYTES, nedges, "f8",
+                                            entry_words * WORD_BYTES),
+                          weight_list)
     return layout
+
+
+def _fill_segment(seg, values: list) -> None:
+    """Store ``values`` at word indices ``0, 1, ...`` of a fresh typed
+    segment: one typed slice when every value round-trips through the
+    buffer (the segment's exact type, in range), else per word — the
+    same words and Python types either way."""
+    vtype = seg.vtype
+    if set(map(type, values)) == {vtype}:
+        try:
+            seg.data[0:len(values)] = _array(seg.data.typecode, values)
+        except OverflowError:
+            pass
+        else:
+            seg.define_range(0, len(values))
+            return
+    for i, value in enumerate(values):
+        seg.write(i, value)
 
 
 #: Escape hatch for the golden-equivalence tests: when False the
@@ -186,35 +205,67 @@ def _compute_phase(sc, graph: Em3dGraph, layout: Layout, direction: str,
                    optimized: bool, simple: bool):
     """Recompute this processor's values for one direction."""
     ctx = sc.ctx
-    n = graph.nodes_per_pe
-    adj_base = layout.e_adj if direction == "e" else layout.h_adj
-    out_base = layout.e_vals if direction == "e" else layout.h_vals
-    per_edge_overhead = (0.5 if optimized
-                         else ctx.node.alpha.loop_iteration() + 1.0)
+    compute_phase(ctx, graph.nodes_per_pe, graph.degree,
+                  layout.e_adj if direction == "e" else layout.h_adj,
+                  layout.e_vals if direction == "e" else layout.h_vals,
+                  0.5 if optimized else ctx.node.alpha.loop_iteration() + 1.0,
+                  sc if simple else None)
+
+
+def compute_phase(ctx, n: int, degree: int, adj_base: int, out_base: int,
+                  per_edge_overhead: float, simple_sc=None) -> None:
+    """One processor's compute phase over ``n`` nodes of ``degree``
+    edges: the adjacency array at ``adj_base`` (reference, weight
+    word pairs), outputs every :data:`VALUE_BYTES` from ``out_base``.
+
+    The single dispatcher over the three spellings, all bit-identical:
+
+    * on the T3D node shape (direct-mapped power-of-two L1, no L2, a
+      never-missing TLB), the numpy whole-phase kernel
+      :func:`repro.vector.em3d.compute_phase` when the vector tier is
+      enabled and the version is not "simple" — it declines with
+      :class:`~repro.vector.UnsupportedStimulus` (changing nothing) on
+      any phase it cannot prove equal, falling through to
+    * the inlined scalar loop :func:`_compute_phase_local_fast`;
+    * on any other shape, the reference loop below.
+
+    With ``simple_sc`` set (the "simple" version) each neighbour value
+    is a Split-C blocking read through that runtime.
+    """
     memsys = ctx.node.memsys
-    lb = memsys.l1._line_bytes
-    nsets = memsys.l1._num_sets
-    if USE_FAST_COMPUTE and (memsys.l1._assoc == 1 and memsys.l2 is None
-                             and memsys.tlb._never_misses
+    lb = memsys.params.l1.line_bytes
+    nsets = memsys.params.l1.num_sets
+    if USE_FAST_COMPUTE and (memsys.params.l1.associativity == 1
+                             and memsys.l2 is None
+                             and memsys.params.tlb.never_misses
                              and lb & (lb - 1) == 0
                              and nsets & (nsets - 1) == 0):
-        _compute_phase_local_fast(ctx, n, graph.degree, adj_base, out_base,
-                                  per_edge_overhead,
-                                  sc if simple else None)
+        if simple_sc is None and _vector.enabled():
+            from repro.vector import em3d as _vector_em3d
+            try:
+                _vector_em3d.compute_phase(ctx, n, degree, adj_base,
+                                           out_base, per_edge_overhead,
+                                           VALUE_BYTES)
+                return
+            except _vector.UnsupportedStimulus:
+                pass
+        _compute_phase_local_fast(ctx, n, degree, adj_base, out_base,
+                                  per_edge_overhead, simple_sc)
         return
+    flop = ctx.node.alpha.flop_pair()
     cursor = adj_base
     for i in range(n):
         acc = 0.0
-        for _ in range(graph.degree):
+        for _ in range(degree):
             ref = ctx.local_read(cursor)
             weight = ctx.local_read(cursor + WORD_BYTES)
             cursor += 2 * WORD_BYTES
-            if simple:
-                value = sc.read(GlobalPtr.decode(ref))
+            if simple_sc is not None:
+                value = simple_sc.read(GlobalPtr.decode(ref))
             else:
                 value = ctx.local_read(ref)
             acc += weight * value
-            ctx.charge(ctx.node.alpha.flop_pair())
+            ctx.charge(flop)
             ctx.charge(per_edge_overhead)
         ctx.local_write(out_base + i * VALUE_BYTES, acc)
 

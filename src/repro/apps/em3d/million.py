@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.apps.em3d.kernels import VALUE_BYTES, _compute_phase_local_fast
+from repro.apps.em3d.kernels import VALUE_BYTES, compute_phase
 from repro.params import CYCLE_NS, WORD_BYTES
 from repro.splitc.runtime import run_splitc
 
@@ -176,29 +176,8 @@ def run_em3d_million(machine, nodes_per_pe: int, degree: int = 2,
             _build_image(mem, layout, n, degree)
 
     def half_step(ctx, direction: str) -> None:
-        adj_base = layout[direction + "_adj"]
-        out_base = layout[direction + "_vals"]
-        memsys = ctx.node.memsys
-        l1 = memsys.l1
-        lb = l1._line_bytes
-        nsets = l1._num_sets
-        if (l1._assoc == 1 and memsys.l2 is None
-                and memsys.tlb._never_misses
-                and lb & (lb - 1) == 0 and nsets & (nsets - 1) == 0):
-            _compute_phase_local_fast(ctx, n, degree, adj_base, out_base,
-                                      0.5)
-            return
-        flop = ctx.node.alpha.flop_pair()
-        cursor = adj_base
-        for i in range(n):
-            acc = 0.0
-            for _ in range(degree):
-                ref = ctx.local_read(cursor)
-                weight = ctx.local_read(cursor + WORD_BYTES)
-                cursor += 2 * WORD_BYTES
-                acc += weight * ctx.local_read(ref)
-                ctx.charge(flop + 0.5)
-            ctx.local_write(out_base + i * VALUE_BYTES, acc)
+        compute_phase(ctx, n, degree, layout[direction + "_adj"],
+                      layout[direction + "_vals"], 0.5)
 
     def program(sc):
         ctx = sc.ctx

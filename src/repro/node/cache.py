@@ -166,6 +166,53 @@ class Cache:
         ways[line] = None
         return False
 
+    def tag_array(self):
+        """The direct-mapped tag state as an int64 numpy array: the
+        resident line address of each set, ``-1`` for an empty set.
+        This is the state :meth:`access_fill_batch` starts from."""
+        import numpy as np
+        self._require_direct_mapped()
+        tags = np.full(self._num_sets, -1, dtype=np.int64)
+        count = len(self._tags)
+        if count:
+            tags[np.fromiter(self._tags.keys(), np.int64, count)] = \
+                np.fromiter(self._tags.values(), np.int64, count)
+        return tags
+
+    def access_fill_batch(self, addrs, tags):
+        """:meth:`access_fill` over a whole int64 address array, starting
+        from ``tags`` (a :meth:`tag_array`-shaped state): returns
+        ``(hits, tags_after)``.
+
+        Pure: the cache is untouched until :meth:`commit_batch`
+        installs ``tags_after`` and the hit/miss counts — exactly the
+        state and counters the per-access calls would leave.
+        Direct-mapped caches only; others raise
+        :class:`~repro.vector.UnsupportedStimulus`.
+        """
+        from repro.vector.kernels import direct_mapped_access
+        self._require_direct_mapped()
+        return direct_mapped_access(addrs, self._line_bytes, self._num_sets,
+                                    tags)
+
+    def commit_batch(self, tags, hits: int, misses: int) -> None:
+        """Install a batch's final :meth:`tag_array` state and add its
+        hit/miss counts.  The tag dict is rebuilt in place: peer units
+        bind it directly."""
+        import numpy as np
+        self._require_direct_mapped()
+        occupied = np.flatnonzero(tags >= 0)
+        self._tags.clear()
+        self._tags.update(zip(occupied.tolist(), tags[occupied].tolist()))
+        self.hits += hits
+        self.misses += misses
+
+    def _require_direct_mapped(self) -> None:
+        if self._assoc != 1:
+            from repro.vector import UnsupportedStimulus
+            raise UnsupportedStimulus("batch access needs a direct-mapped "
+                                      "cache")
+
     def invalidate(self, addr: int) -> bool:
         """Drop the line holding ``addr``; return whether it was present.
 

@@ -119,6 +119,42 @@ class Dram:
         self._last_bank = bank
         return cycles
 
+    def row_state(self):
+        """``(open_row, last_bank)``: the open row of each bank as an
+        int64 numpy array (``-1`` for none) and the bank of the last
+        access — the state :meth:`access_batch` starts from."""
+        import numpy as np
+        return np.array(self._open_row, dtype=np.int64), self._last_bank
+
+    def access_batch(self, addrs, state):
+        """:meth:`access` over a whole int64 address array, starting
+        from ``state`` (a :meth:`row_state` pair); returns a
+        :class:`~repro.vector.kernels.DramStream` (costs, row misses,
+        same-bank conflicts, final open rows and last bank).
+
+        Pure: nothing changes until :meth:`commit_batch` installs the
+        final state and the counters.
+        """
+        from repro.vector.kernels import dram_access_stream
+        p = self.params
+        open_row, last_bank = state
+        return dram_access_stream(
+            addrs, interleave=self._interleave, banks=self._banks,
+            page_bytes=self._page_bytes, access_cycles=self._access_cycles,
+            off_page_cycles=p.off_page_cycles,
+            same_bank_cycles=p.same_bank_cycles,
+            open_row=open_row, last_bank=last_bank)
+
+    def commit_batch(self, open_row, last_bank: int, *, accesses: int,
+                     row_misses: int, same_bank_conflicts: int) -> None:
+        """Install a batch's final row state and add its counters.  The
+        open-row list is updated in place (peer links bind it)."""
+        self._open_row[:] = open_row.tolist()
+        self._last_bank = last_bank
+        self.accesses += accesses
+        self.row_misses += row_misses
+        self.same_bank_conflicts += same_bank_conflicts
+
     def peek_access_cycles(self, addr: int) -> float:
         """Latency the next access to ``addr`` would cost, without
         changing any state.  Used by drain schedulers that need a cost

@@ -136,6 +136,14 @@ class Segment:
             for k in [k for k in self.overrides if i <= k < i + n]:
                 del self.overrides[k]
 
+    def write_floats(self, i: int, values) -> None:
+        """Store a float64 array at word indices ``i, i+1, ...`` of an
+        ``f8`` segment in one slice — exactly what per-word
+        :meth:`write` calls with Python floats would leave."""
+        n = len(values)
+        self.np_view()[i:i + n] = values
+        self.define_range(i, n)
+
     def np_view(self):
         """Zero-copy numpy view of the typed buffer (None when numpy
         is unavailable or the segment holds arbitrary objects).
@@ -250,6 +258,55 @@ class WordMemory:
             return None
         hit = self._find(w)
         return hit[0] if hit is not None else None
+
+    def typed_run(self, addr: int, stride: int, nwords: int, kind: str):
+        """``(segment, index)`` when the words ``addr, addr + stride,
+        ...`` (``nwords`` of them) are consecutive words of one
+        segment of that ``kind`` and stride, else ``None``."""
+        if addr % WORD_BYTES:
+            return None
+        seg = self.segment_at(addr)
+        if seg is None or seg.kind != kind or seg.stride != stride:
+            return None
+        i = (addr - seg.base) // stride
+        return (seg, i) if i + nwords <= seg.nwords else None
+
+    def gather_floats(self, addrs, skip=None):
+        """The words at the word-aligned addresses of int64 array
+        ``addrs`` as one float64 array, or ``None`` unless every one is
+        a written, un-overridden word of an ``f8`` segment (the words
+        :meth:`load` returns as Python floats).  Positions where the
+        bool array ``skip`` is set are left for the caller to fill and
+        not checked.  Needs numpy."""
+        if _np is None or not len(addrs):
+            return None
+        out = _np.empty(len(addrs), dtype=_np.float64)
+        if skip is None:
+            covered = _np.zeros(len(addrs), dtype=bool)
+        else:
+            covered = skip.copy()
+        lo = int(addrs.min())
+        hi = int(addrs.max())
+        for seg in self._segments:
+            if seg.base > hi or seg.base + seg.limit < lo:
+                continue
+            off = addrs - seg.base
+            mine = (off >= 0) & (off <= seg.limit) & (off % seg.stride == 0)
+            if skip is not None:
+                mine &= ~skip
+            if not mine.any():
+                continue
+            if seg.kind != "f8":
+                return None
+            idx = off[mine] // seg.stride
+            if seg.undefined and not _np.frombuffer(
+                    seg.defined, dtype=_np.uint8)[idx].all():
+                return None
+            if seg.overrides and _np.isin(idx, list(seg.overrides)).any():
+                return None
+            out[mine] = seg.np_view()[idx]
+            covered |= mine
+        return out if covered.all() else None
 
     @property
     def segments(self) -> tuple:

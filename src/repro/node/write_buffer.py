@@ -243,6 +243,54 @@ class WriteBuffer:
                         stall=stall, retire=retire)
         return cycles + stall
 
+    @property
+    def pending_entries(self) -> tuple:
+        """The entries still in the buffer, oldest first (a snapshot)."""
+        return tuple(self._pending)
+
+    def isolated_run_retires(self, starts, drains, last_retire=None,
+                             ready: float = float("-inf")):
+        """Retire times of a run of non-merging stores issued at
+        ``starts`` (numpy array) with DRAM drain costs ``drains``, when
+        every entry retires before the next store issues; raises
+        :class:`~repro.vector.UnsupportedStimulus` otherwise.
+
+        Under that condition no store of the run stalls or finds a
+        live entry, so :func:`~repro.vector.kernels.isolated_store_retires`
+        gives each entry's schedule in closed form.  ``last_retire``
+        defaults to this buffer's drain schedule; ``ready`` is the
+        latest retire time of entries pending before the run, which
+        must also be past by its first store.  Pure: nothing changes.
+        """
+        from repro.vector import UnsupportedStimulus
+        from repro.vector.kernels import isolated_store_retires
+        retires = isolated_store_retires(
+            starts, drains, self._capacity,
+            self._last_retire if last_retire is None else last_retire,
+            ready)
+        if retires is None:
+            raise UnsupportedStimulus("stores meet in the write buffer")
+        return retires
+
+    def append_isolated_run(self, retired: int, entry: PendingWrite) -> None:
+        """Record a run of ``retired + 1`` stores checked by
+        :meth:`isolated_run_retires`: the first ``retired`` entries
+        drained during the run (the caller committed their words) and
+        ``entry``, the last, stays pending.  The buffer must be empty,
+        as it is after the run's last flush.  With tracing on, the run's
+        drains are one coalesced ``wb_drain`` event at ``entry``'s
+        issue time."""
+        if self._pending:
+            raise ValueError("isolated run appended to a busy buffer")
+        self.drained_entries += retired
+        if _trace.TRACE_ENABLED and retired:
+            _trace.emit("wb_drain", t=entry.enqueue_time, pe=self.owner_pe,
+                        count=retired)
+        self._last_retire = entry.retire_time
+        self._pending.append(entry)
+        if self.settle_queue is not None:
+            self.settle_queue.append(self)
+
     def find_word(self, now: float, addr: int):
         """Forwarding check: return ``(True, value)`` for the youngest
         pending store to the word holding ``addr``, else ``(False, None)``.

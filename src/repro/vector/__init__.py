@@ -27,13 +27,22 @@ numpy is not importable the tier silently degrades to the fast tier
 after a one-line warning — the package never *requires* numpy (it is
 the ``vector`` optional dependency in ``pyproject.toml``).
 
-A stimulus the kernels cannot express — data-dependent control flow,
-set-associative caches, a machine shape outside the probe's claim —
-raises :class:`UnsupportedStimulus`; the harness catches it and falls
-back to the fast tier (when the probe supplies one) or the reference
-loop.  :data:`CLAIMED_FAMILIES` records, per probe family, whether the
-tier claims it at all; the unclaimed families are claimed *not to be
-claimed* by ``tests/vector/test_fallback.py``.
+A stimulus the kernels cannot express — state-coupled write-buffer
+timing, set-associative caches, a machine shape outside the probe's
+claim — raises :class:`UnsupportedStimulus`; the harness catches it
+and falls back to the fast tier (when the probe supplies one) or the
+reference loop.  :data:`CLAIMED_FAMILIES` records, per probe family,
+whether the tier claims it at all; the unclaimed families are claimed
+*not to be claimed* by ``tests/vector/test_fallback.py``.
+
+Beyond the probe sweeps, the tier also computes the EM3D compute
+phase (:mod:`repro.vector.em3d`): one processor's whole phase from the
+warm-state cache and DRAM kernels, which start from a unit's live
+state rather than a reset one.  Its clock stream depends on addresses
+only; a phase whose write-buffer traffic would couple stores, or whose
+words the segment tier cannot vouch for, declines with
+:class:`UnsupportedStimulus` before changing anything and runs on the
+scalar loop.
 
 This module imports neither numpy nor the kernel modules at import
 time, so ``import repro`` works on a numpy-less interpreter.
@@ -75,9 +84,12 @@ class UnsupportedStimulus(Exception):
 #:   the write buffer and commit data to the target memory;
 #:   ``tests/test_fastpath_equivalence.py`` fingerprints that machine
 #:   state, so a state-skipping kernel is wrong by definition.
-#: * ``em3d`` — the compute phase reads values written earlier in the
-#:   same phase (write-buffer forwarding), so the stream is
-#:   data-dependent.
+#: * ``em3d`` — not a stride-sweep family.  Its compute phase is
+#:   claimed per call by :func:`repro.vector.em3d.compute_phase`, which
+#:   the EM3D dispatcher calls directly: the phase's clock stream
+#:   depends only on addresses (the adjacency array fixes every load,
+#:   the outputs are consecutive), so it has a closed form wherever the
+#:   write buffer never couples two stores, and declines elsewhere.
 CLAIMED_FAMILIES = {
     "local_read": True,
     "local_write": True,

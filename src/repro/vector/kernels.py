@@ -4,19 +4,26 @@ Each function here computes, over a whole pre-generated address stream,
 exactly what the corresponding stateful model computes one access at a
 time:
 
-==============================  =====================================
-:func:`direct_mapped_hit_mask`  :meth:`repro.node.cache.Cache.access_fill`
-                                (direct-mapped)
-:func:`dram_cost_stream`        :meth:`repro.node.dram.Dram.access_with`
-:func:`tlb_cost_stream`         :meth:`repro.node.tlb.Tlb.translate`
-                                (fully-associative LRU)
-==============================  =====================================
+================================  ===================================
+:func:`direct_mapped_access`      :meth:`repro.node.cache.Cache.access_fill`
+                                  (direct-mapped)
+:func:`dram_access_stream`        :meth:`repro.node.dram.Dram.access_with`
+:func:`isolated_store_retires`    :meth:`repro.node.write_buffer.WriteBuffer.push_new`
+                                  (stores that never meet in the buffer)
+:func:`tlb_cost_stream`           :meth:`repro.node.tlb.Tlb.translate`
+                                  (fully-associative LRU)
+================================  ===================================
 
 The correspondence is lock-step, not approximate — the unit tests in
 ``tests/vector/test_kernels.py`` replay random streams through both
-spellings and require identical outputs.  All kernels assume a
-**cold-started** unit (the probe harness's ``reset_fn`` guarantees it)
-and a stream of non-negative integer addresses.
+spellings and require identical outputs.  The cache and DRAM kernels
+start from any unit state (warm tags, open rows, last bank) and return
+the state they leave; ``None`` means the reset state, which is what
+the probe sweeps pass (their ``reset_fn`` cold-starts the machine).
+:meth:`Cache.access_fill_batch <repro.node.cache.Cache.access_fill_batch>`
+and :meth:`Dram.access_batch <repro.node.dram.Dram.access_batch>` expose
+them on the units themselves.  Streams are non-negative integer
+addresses.
 
 Why the results are bit-identical, not just numerically close: every
 per-access cost in the calibrated model is a small dyadic rational
@@ -30,13 +37,19 @@ same bits as the reference model's sequential accumulation.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.vector import UnsupportedStimulus
 
 __all__ = [
+    "DramStream",
+    "direct_mapped_access",
     "direct_mapped_hit_mask",
+    "dram_access_stream",
     "dram_cost_stream",
+    "isolated_store_retires",
     "sawtooth_addresses",
     "tlb_cost_stream",
     "validate_point",
@@ -76,73 +89,157 @@ def sawtooth_addresses(base: int, stride: int, count: int,
     return np.tile(one_pass, npasses)
 
 
+def _repeat_mask(keys: np.ndarray, values: np.ndarray,
+                 initial: np.ndarray):
+    """The shared closed form of every "one resident value per slot"
+    unit: a direct-mapped cache (slot = set, value = line) and a
+    page-mode DRAM (slot = bank, value = open row).
+
+    Returns ``(same, final)``: ``same[i]`` is whether ``values[i]``
+    equals the value most recently seen in slot ``keys[i]`` — the
+    previous position with the same key, or ``initial[key]`` at a
+    key's first position — and ``final`` is ``initial`` with each
+    touched slot set to its last value.  A stable sort by key groups
+    the stream by slot while preserving program order inside each
+    group, turning "same as my predecessor?" into one shifted compare.
+    Keys are small slot indices, so they sort as int16 where they fit
+    (numpy's stable sort is then a linear radix sort).
+    """
+    n = len(keys)
+    final = initial.copy()
+    if not n:
+        return np.zeros(0, dtype=bool), final
+    sort_keys = keys.astype(np.int16) if len(initial) <= 1 << 15 else keys
+    order = np.argsort(sort_keys, kind="stable")
+    ks = keys[order]
+    vs = values[order]
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(ks[1:], ks[:-1], out=first[1:])
+    prev = np.empty_like(vs)
+    prev[1:] = vs[:-1]
+    prev[first] = initial[ks[first]]
+    same = np.empty(n, dtype=bool)
+    same[order] = vs == prev
+    last = np.empty(n, dtype=bool)
+    last[:-1] = first[1:]
+    last[-1] = True
+    final[ks[last]] = vs[last]
+    return same, final
+
+
+def direct_mapped_access(addrs: np.ndarray, line_bytes: int,
+                         num_sets: int, tags: np.ndarray | None = None):
+    """Hits of a stream through a direct-mapped read-allocate cache,
+    and the tag state it leaves: ``(hits, tags_after)``.
+
+    Twin of :meth:`Cache.access_fill` with ``associativity == 1``.
+    ``tags`` holds the resident line address of each set (``-1`` for
+    an empty set); ``None`` starts from a cold cache.  The resident
+    line of a set is always the line of the most recent prior access
+    mapping to that set (a hit leaves it, a miss overwrites it), so
+    access *i* hits iff the previous access to its set touched the same
+    line, or, for a set's first access in the stream, iff the set
+    already holds that line.
+    """
+    lines = addrs // line_bytes         # line *number*; non-negative
+    sets = lines % num_sets             # ints, so // and % are exact
+    if tags is None:
+        tags = np.full(num_sets, -1, dtype=np.int64)
+    return _repeat_mask(sets, lines * line_bytes, tags)
+
+
 def direct_mapped_hit_mask(addrs: np.ndarray, line_bytes: int,
                            num_sets: int) -> np.ndarray:
-    """Hit/miss of each access against a cold direct-mapped cache.
+    """Hit/miss of each access against a cold direct-mapped cache
+    (:func:`direct_mapped_access` from reset state)."""
+    return direct_mapped_access(addrs, line_bytes, num_sets)[0]
 
-    Twin of :meth:`Cache.access_fill` with ``associativity == 1``: the
-    resident line of a set is always the line of the most recent prior
-    access mapping to that set (a hit leaves it, a miss overwrites it),
-    so access *i* hits iff the previous access to its set touched the
-    same line.  A stable argsort groups the stream by set while
-    preserving program order inside each group, turning the per-set
-    "same line as my predecessor?" question into one shifted compare.
+
+class DramStream(NamedTuple):
+    """What :func:`dram_access_stream` computes for one stream."""
+
+    #: Per-access latency, cycles.
+    costs: np.ndarray
+    row_misses: int
+    same_bank_conflicts: int
+    #: Open row per bank after the stream (``-1``: none yet).
+    open_row: np.ndarray
+    last_bank: int
+
+
+def dram_access_stream(addrs: np.ndarray, *, interleave: int, banks: int,
+                       page_bytes: int, access_cycles: float,
+                       off_page_cycles: float, same_bank_cycles: float,
+                       open_row: np.ndarray | None = None,
+                       last_bank: int = -1) -> DramStream:
+    """A stream of accesses through a page-mode DRAM, starting from
+    ``open_row`` (per bank, ``-1`` for none; ``None`` is the reset
+    state) and ``last_bank``.
+
+    Twin of :meth:`Dram.access_with`: after any access to a bank that
+    bank's open row equals that access's row (a hit means it already
+    did; a miss installs it), so an access row-misses iff its row
+    differs from the previous access *to the same bank*, or from the
+    bank's open row at its first access in the stream.  The same-bank
+    conflict additionally requires the immediately preceding access
+    (across all banks; ``last_bank`` before the first) to have used
+    this bank.  Costs add in the reference order: access, then
+    off-page, then same-bank.
     """
-    lines = addrs // line_bytes         # line *number*; equal iff the
-    sets = lines % num_sets             # line address addr - addr%lb is
-    order = np.argsort(sets, kind="stable")     # equal, for ints >= 0
-    sets_sorted = sets[order]
-    lines_sorted = lines[order]
-    hits_sorted = np.empty(len(addrs), dtype=bool)
-    if len(addrs):
-        hits_sorted[0] = False
-        hits_sorted[1:] = ((sets_sorted[1:] == sets_sorted[:-1])
-                           & (lines_sorted[1:] == lines_sorted[:-1]))
-    hits = np.empty(len(addrs), dtype=bool)
-    hits[order] = hits_sorted
-    return hits
+    n = len(addrs)
+    block = addrs // interleave
+    bank = block % banks
+    row = ((block // banks) * interleave + addrs % interleave) // page_bytes
+    if open_row is None:
+        open_row = np.full(banks, -1, dtype=np.int64)
+    same, final = _repeat_mask(bank, row, open_row)
+    miss = ~same
+    prev_bank = np.empty(n, dtype=np.int64)
+    if n:
+        prev_bank[0] = last_bank
+        prev_bank[1:] = bank[:-1]
+    conflict = miss & (bank == prev_bank)
+    costs = np.full(n, access_cycles, dtype=np.float64)
+    costs[miss] += off_page_cycles
+    costs[conflict] += same_bank_cycles
+    return DramStream(costs, int(miss.sum()), int(conflict.sum()), final,
+                      int(bank[-1]) if n else last_bank)
 
 
 def dram_cost_stream(addrs: np.ndarray, *, interleave: int, banks: int,
                      page_bytes: int, access_cycles: float,
                      off_page_cycles: float,
                      same_bank_cycles: float) -> np.ndarray:
-    """Per-access cost of a stream through a cold page-mode DRAM.
+    """Per-access cost of a stream through a cold page-mode DRAM
+    (:func:`dram_access_stream` from reset state)."""
+    return dram_access_stream(
+        addrs, interleave=interleave, banks=banks, page_bytes=page_bytes,
+        access_cycles=access_cycles, off_page_cycles=off_page_cycles,
+        same_bank_cycles=same_bank_cycles).costs
 
-    Twin of :meth:`Dram.access_with` from reset state (all open rows
-    ``-1``, no last bank): after any access to a bank that bank's open
-    row equals that access's row (a hit means it already did; a miss
-    installs it), so an access row-misses iff it is its bank's first
-    access or its row differs from the previous access *to the same
-    bank* — one shifted compare per bank.  The same-bank conflict
-    additionally requires the immediately preceding access (across all
-    banks) to have used this bank.
 
-    The bank count is tiny (2-8 for every modeled machine), so the
-    per-bank grouping is a handful of O(n) masked selects rather than a
-    sort.
+def isolated_store_retires(starts: np.ndarray, drains: np.ndarray,
+                           capacity: int, last_retire: float,
+                           ready: float) -> np.ndarray | None:
+    """Write-buffer retire times of a run of stores that never meet
+    each other in the buffer, or ``None`` when they would.
+
+    Twin of :meth:`WriteBuffer.push_new` for stores issued at
+    ``starts`` with DRAM drain costs ``drains``, under a
+    self-consistency condition: every earlier entry (of the run, or
+    already pending and retiring by ``ready``) has retired by the time
+    the next store issues.  The buffer then holds nothing live at any
+    store, so no store stalls, and each entry is scheduled exactly
+    ``drain / capacity`` after its own issue — except the first, which
+    queues behind ``last_retire``.  The condition is checked on the
+    computed times, so a ``None`` never hides a wrong answer.
     """
-    n = len(addrs)
-    block = addrs // interleave
-    bank = block % banks
-    row = ((block // banks) * interleave + addrs % interleave) // page_bytes
-    miss = np.empty(n, dtype=bool)
-    for b in range(banks):
-        idx = np.flatnonzero(bank == b)
-        if not len(idx):
-            continue
-        rows_b = row[idx]
-        miss_b = np.empty(len(idx), dtype=bool)
-        miss_b[0] = True                # open row starts at -1
-        miss_b[1:] = rows_b[1:] != rows_b[:-1]
-        miss[idx] = miss_b
-    conflict = np.zeros(n, dtype=bool)
-    if n:
-        conflict[1:] = miss[1:] & (bank[1:] == bank[:-1])
-    costs = np.full(n, access_cycles, dtype=np.float64)
-    costs[miss] += off_page_cycles
-    costs[conflict] += same_bank_cycles
-    return costs
+    retires = starts + drains / capacity
+    retires[0] = max(starts[0], last_retire) + drains[0] / capacity
+    if ready > starts[0] or bool((retires[:-1] > starts[1:]).any()):
+        return None
+    return retires
 
 
 def tlb_cost_stream(addrs_one_pass: np.ndarray, npasses: int, *,

@@ -28,9 +28,10 @@ the perf gate behind ``make bench-compare``.
   absolute delta a point must also exceed before it counts as a
   regression.
 * ``--tiers`` additionally cross-checks the compute tiers: a small
-  probe subset is run on the vectorized tier and on the fast/reference
-  tiers (``REPRO_VECTOR=0``), and any numeric mismatch counts as a
-  regression.  A perf gate that compares tiered timings is only
+  probe subset and the EM3D compute phase (the six versions the numpy
+  kernel claims, at 4 PEs) are run on the vectorized tier and on the
+  fast/reference tiers (``REPRO_VECTOR=0``), and any numeric mismatch
+  counts as a regression.  A perf gate that compares tiered timings is only
   meaningful while the tiers agree bit for bit.
 
 Usage: bench_compare.py BASE_JSON NEW_JSON
@@ -105,9 +106,15 @@ def compare_scaling(base: dict, new: dict, threshold: float,
     return lines, regressions
 
 
+#: EM3D versions whose compute phase the vectorized tier claims
+#: (all but "simple", which reads through the Split-C runtime).
+VECTOR_EM3D_VERSIONS = ("bundle", "unroll", "get", "put", "bulk", "msg")
+
+
 def check_tiers() -> tuple[list[str], list[str]]:
     """Cross-check the vectorized tier against the lower tiers on a
-    small probe subset; mismatches are regressions."""
+    small probe subset and the EM3D compute phase; mismatches are
+    regressions."""
     import os
 
     from repro import vector
@@ -152,12 +159,41 @@ def check_tiers() -> tuple[list[str], list[str]]:
                 regressions.append(
                     f"tier mismatch {name}: {bad}/{len(vec)} points "
                     "differ between vectorized and fallback tiers")
+        for version in VECTOR_EM3D_VERSIONS:
+            os.environ["REPRO_VECTOR"] = "1"
+            vec = _em3d_tier_run(version)
+            os.environ["REPRO_VECTOR"] = "0"
+            low = _em3d_tier_run(version)
+            if vec == low:
+                lines.append(f"  tier ok   em3d {version}: us/edge, E/H "
+                             "and counters bit-identical at 4 PEs")
+            else:
+                regressions.append(
+                    f"tier mismatch em3d {version}: the numpy compute "
+                    "phase differs from the scalar loop at 4 PEs")
     finally:
         if saved is None:
             os.environ.pop("REPRO_VECTOR", None)
         else:
             os.environ["REPRO_VECTOR"] = saved
     return lines, regressions
+
+
+def _em3d_tier_run(version: str):
+    """One 4-PE EM3D run under the current ``REPRO_VECTOR``: us/edge,
+    final E/H values and every processor's node-unit counters."""
+    from repro.apps.em3d import make_graph, run_em3d
+    from repro.machine.machine import Machine
+    from repro.params import t3d_machine_params
+
+    machine = Machine(t3d_machine_params((2, 2, 1)))
+    graph = make_graph(num_pes=4, nodes_per_pe=32, degree=5,
+                       remote_fraction=0.3, seed=3)
+    result = run_em3d(machine, graph, version, steps=2, warmup_steps=1)
+    counters = [machine.node(pe).memsys.counters()
+                for pe in range(machine.num_nodes)]
+    return (result.us_per_edge, result.e_values, result.h_values,
+            counters)
 
 
 def main(argv=None) -> int:
