@@ -39,6 +39,7 @@ from repro.splitc.gptr import ADDR_MASK as GPTR_ADDR_MASK
 from repro.splitc.gptr import PE_SHIFT as GPTR_PE_SHIFT
 from repro.splitc.gptr import GlobalPtr
 from repro.node.write_buffer import PendingWrite
+from repro.simkernel import fastpath
 from repro.splitc.runtime import run_splitc
 from repro.trace import tracer as _trace
 
@@ -192,15 +193,6 @@ def _fill_segment(seg, values: list) -> None:
         seg.write(i, value)
 
 
-#: Escape hatch for the golden-equivalence tests: when False the
-#: compute phase always runs the reference per-access loop.
-USE_FAST_COMPUTE = True
-
-#: Escape hatch for the ghost-fill fast paths below: when False the
-#: fill loops always go through the generic Split-C runtime calls.
-USE_FAST_FILL = True
-
-
 def _compute_phase(sc, graph: Em3dGraph, layout: Layout, direction: str,
                    optimized: bool, simple: bool):
     """Recompute this processor's values for one direction."""
@@ -218,29 +210,36 @@ def compute_phase(ctx, n: int, degree: int, adj_base: int, out_base: int,
     edges: the adjacency array at ``adj_base`` (reference, weight
     word pairs), outputs every :data:`VALUE_BYTES` from ``out_base``.
 
-    The single dispatcher over the three spellings, all bit-identical:
+    The single dispatcher over the three spellings, all bit-identical.
+    With the fast paths on (:data:`repro.simkernel.fastpath.ENABLED`)
+    and the T3D node shape (direct-mapped power-of-two L1, no L2, a
+    never-missing TLB):
 
-    * on the T3D node shape (direct-mapped power-of-two L1, no L2, a
-      never-missing TLB), the numpy whole-phase kernel
+    * the "simple" version (``simple_sc`` set: each neighbour value is
+      a Split-C blocking read through that runtime) runs the inlined
+      scalar loop :func:`_compute_phase_simple`;
+    * every other version runs the numpy whole-phase kernel
       :func:`repro.vector.em3d.compute_phase` when the vector tier is
-      enabled and the version is not "simple" — it declines with
+      enabled.  It declines with
       :class:`~repro.vector.UnsupportedStimulus` (changing nothing) on
-      any phase it cannot prove equal, falling through to
-    * the inlined scalar loop :func:`_compute_phase_local_fast`;
-    * on any other shape, the reference loop below.
+      any phase it cannot prove equal.
 
-    With ``simple_sc`` set (the "simple" version) each neighbour value
-    is a Split-C blocking read through that runtime.
+    Everything else — other shapes, declines, ``REPRO_VECTOR=0``, no
+    numpy — runs the reference loop below.
     """
     memsys = ctx.node.memsys
     lb = memsys.params.l1.line_bytes
     nsets = memsys.params.l1.num_sets
-    if USE_FAST_COMPUTE and (memsys.params.l1.associativity == 1
+    if fastpath.ENABLED and (memsys.params.l1.associativity == 1
                              and memsys.l2 is None
                              and memsys.params.tlb.never_misses
                              and lb & (lb - 1) == 0
                              and nsets & (nsets - 1) == 0):
-        if simple_sc is None and _vector.enabled():
+        if simple_sc is not None:
+            _compute_phase_simple(ctx, n, degree, adj_base, out_base,
+                                  per_edge_overhead, simple_sc)
+            return
+        if _vector.enabled():
             from repro.vector import em3d as _vector_em3d
             try:
                 _vector_em3d.compute_phase(ctx, n, degree, adj_base,
@@ -249,9 +248,6 @@ def compute_phase(ctx, n: int, degree: int, adj_base: int, out_base: int,
                 return
             except _vector.UnsupportedStimulus:
                 pass
-        _compute_phase_local_fast(ctx, n, degree, adj_base, out_base,
-                                  per_edge_overhead, simple_sc)
-        return
     flop = ctx.node.alpha.flop_pair()
     cursor = adj_base
     for i in range(n):
@@ -270,10 +266,11 @@ def compute_phase(ctx, n: int, degree: int, adj_base: int, out_base: int,
         ctx.local_write(out_base + i * VALUE_BYTES, acc)
 
 
-def _compute_phase_local_fast(ctx, n: int, degree: int, adj_base: int,
-                              out_base: int, per_edge_overhead: float,
-                              simple_sc=None):
-    """The compute loop with the T3D read pipeline inlined.
+def _compute_phase_simple(ctx, n: int, degree: int, adj_base: int,
+                          out_base: int, per_edge_overhead: float,
+                          simple_sc):
+    """The "simple" version's compute loop with the T3D read pipeline
+    inlined.
 
     Exactly equivalent to the reference loop above for a node with a
     direct-mapped power-of-two L1, no L2, and a never-missing TLB: each
@@ -290,10 +287,9 @@ def _compute_phase_local_fast(ctx, n: int, degree: int, adj_base: int,
     are committed at the end (stores inside the loop update the shared
     DRAM state directly, so only the *deltas* are local).
 
-    With ``simple_sc`` set (the "simple" version), the neighbor value
-    is read through the Split-C blocking read; its local branch (the
-    common case) is flattened here too, remote references go through
-    the runtime.
+    Each neighbor value is read through the Split-C blocking read of
+    ``simple_sc``; its local branch (the common case) is flattened
+    here too, remote references go through the runtime.
     """
     memsys = ctx.node.memsys
     wb = memsys.write_buffer
@@ -364,17 +360,15 @@ def _compute_phase_local_fast(ctx, n: int, degree: int, adj_base: int,
     rdata = _rseg.data if adj_direct else None
     wdata = _wseg.data if adj_direct else None
     j = 0
-    if simple_sc is not None:
-        # "simple" reads every value through the Split-C blocking read.
-        # The local case of that read (decode, local load, stats
-        # record) is inlined below when no span trace is attached;
-        # remote references still go through the runtime.
-        my_pe = ctx.pe
-        simple_fast = simple_sc.trace is None
-        record_stat = simple_sc.stats.record
-        stats_ops = simple_sc.stats.ops
-        local_rec = None
-        gaddr_mask = GPTR_ADDR_MASK
+    # The local case of the Split-C blocking read (decode, local load,
+    # stats record) is inlined below when no span trace is attached;
+    # remote references still go through the runtime.
+    my_pe = ctx.pe
+    simple_fast = simple_sc.trace is None
+    record_stat = simple_sc.stats.record
+    stats_ops = simple_sc.stats.ops
+    local_rec = None
+    gaddr_mask = GPTR_ADDR_MASK
     for i in range(n):
         acc = 0.0
         for _ in deg_range:
@@ -451,69 +445,11 @@ def _compute_phase_local_fast(ctx, n: int, degree: int, adj_base: int,
             weight = wdata[j] if adj_direct else mem_get(addr, 0)
             cursor += estep
             j += 1
-            if simple_sc is not None:
-                if simple_fast and (ref >> GPTR_PE_SHIFT) == my_pe:
-                    # runtime.read's local branch, flattened: a local
-                    # load plus a "read (local)" stats record.
-                    addr = ref & gaddr_mask
-                    before = clock
-                    found = False
-                    if wb_pending:
-                        if wb_pending[0].retire_time <= clock:
-                            wb_flush(clock)
-                        w = addr & word_mask
-                        for entry in reversed(wb_pending):
-                            if w in entry.words:
-                                found = True
-                                fv = entry.words[w]
-                                break
-                    line = addr & line_mask
-                    index = (addr >> lb_shift) & set_mask
-                    if tags_get(index) == line:
-                        l1_h += 1
-                        clock += hit_cycles
-                    else:
-                        l1_m += 1
-                        tags[index] = line
-                        a = addr & mask
-                        if geom_flat:
-                            block = a >> il_shift
-                            bank = block & bank_mask
-                            row = block >> bank_shift
-                        else:
-                            block = a // interleave
-                            bank = block % banks
-                            row = ((block // banks) * interleave
-                                   + a % interleave) // dpage
-                        cyc = dcycles
-                        dram_n += 1
-                        if open_row[bank] != row:
-                            dram_rm += 1
-                            cyc += off_page
-                            if bank == dram._last_bank:
-                                dram_cf += 1
-                                cyc += same_bank
-                            open_row[bank] = row
-                        dram._last_bank = bank
-                        clock += cyc
-                    if found:
-                        value = fv
-                    else:
-                        a = addr & mask
-                        value = mem_get(a - (a % wbytes), 0)
-                    if local_rec is None:
-                        record_stat("read (local)", clock - before)
-                        local_rec = stats_ops["read (local)"]
-                    else:
-                        local_rec.count += 1
-                        local_rec.cycles += clock - before
-                else:
-                    ctx.clock = clock
-                    value = simple_sc.read_from(ref >> GPTR_PE_SHIFT,
-                                                ref & gaddr_mask)
-                    clock = ctx.clock
-            else:
-                addr = ref
+            if simple_fast and (ref >> GPTR_PE_SHIFT) == my_pe:
+                # runtime.read's local branch, flattened: a local
+                # load plus a "read (local)" stats record.
+                addr = ref & gaddr_mask
+                before = clock
                 found = False
                 if wb_pending:
                     if wb_pending[0].retire_time <= clock:
@@ -558,6 +494,17 @@ def _compute_phase_local_fast(ctx, n: int, degree: int, adj_base: int,
                 else:
                     a = addr & mask
                     value = mem_get(a - (a % wbytes), 0)
+                if local_rec is None:
+                    record_stat("read (local)", clock - before)
+                    local_rec = stats_ops["read (local)"]
+                else:
+                    local_rec.count += 1
+                    local_rec.cycles += clock - before
+            else:
+                ctx.clock = clock
+                value = simple_sc.read_from(ref >> GPTR_PE_SHIFT,
+                                            ref & gaddr_mask)
+                clock = ctx.clock
             acc += weight * value
             clock = clock + flop + per_edge_overhead
         # memsys.write_cycles, destructured onto the local clock: the
@@ -627,14 +574,9 @@ def _compute_phase_local_fast(ctx, n: int, degree: int, adj_base: int,
 def _ghost_fill_reads(sc, graph, layout, direction: str, use_get: bool):
     """Fill ghosts with blocking reads (bundle/unroll) or gets.
 
-    The blocking-read loop has a fast path with ``read_from``'s remote
-    branch inlined: the same Annex set-up, uncached read, and extra-
-    cycle charges in the same order — only the per-element Python call
-    chain (``read_from`` -> ``_setup_annex`` -> ``charge`` x2 ->
-    ``_record``) is flattened and its attribute lookups hoisted out of
-    the loop.  Sources in a ghost plan are always remote and the read
-    mechanism must be the adopted uncached one; the cached-read
-    ablation and span-traced runs take the generic path.
+    The blocking reads run :func:`_ghost_reads_fast` when the fast
+    paths are on; the cached-read ablation and span-traced runs take
+    the generic ``read_from`` path.
     """
     ctx = sc.ctx
     plan = graph.e_plan if direction == "e" else graph.h_plan
@@ -642,93 +584,87 @@ def _ghost_fill_reads(sc, graph, layout, direction: str, use_get: bool):
     ghosts = layout.e_ghosts if direction == "e" else layout.h_ghosts
     me = sc.my_pe
     slots = plan.ghost_slot[me]
-    local_write = ctx.local_write
     start_clock = ctx.clock if _trace.TRACE_ENABLED else 0.0
-    filled = 0
-    fast = (USE_FAST_FILL and not use_get and sc.trace is None
-            and sc.plan.read_mechanism != "cached")
-    if fast:
-        annex = ctx.node.annex
-        annex_setup = sc.annex_policy.setup
-        uncached_read = ctx.node.remote.uncached_read
-        read_extra = ctx.node.params.shell.remote.splitc_read_extra_cycles
-        record_stat = sc.stats.record
-        rec = None
-    for src in sorted(plan.needed[me]):
-        for idx in plan.needed[me][src]:
-            slot = slots[(src, idx)]
-            if use_get:
-                sc.get_from(src, vals + idx * VALUE_BYTES,
-                            ghosts + slot * VALUE_BYTES)
-            elif fast:
-                before = ctx.clock
-                _index, cyc = annex_setup(annex, src)
-                clock = before + cyc
-                cycles, value = uncached_read(clock, src,
-                                              vals + idx * VALUE_BYTES)
-                ctx.clock = clock + cycles + read_extra
-                if rec is None:
-                    record_stat("read (remote)", ctx.clock - before)
-                    rec = sc.stats.ops["read (remote)"]
-                else:
-                    rec.count += 1
-                    rec.cycles += ctx.clock - before
-                local_write(ghosts + slot * VALUE_BYTES, value)
-            else:
-                value = sc.read_from(src, vals + idx * VALUE_BYTES)
-                local_write(ghosts + slot * VALUE_BYTES, value)
-            filled += 1
+    reads = [(src, vals + idx * VALUE_BYTES,
+              ghosts + slots[(src, idx)] * VALUE_BYTES)
+             for src in sorted(plan.needed[me])
+             for idx in plan.needed[me][src]]
     if use_get:
+        for src, addr, ghost in reads:
+            sc.get_from(src, addr, ghost)
         sc.sync()
+    elif (fastpath.ENABLED and sc.trace is None
+          and sc.plan.read_mechanism != "cached"):
+        _ghost_reads_fast(sc, reads)
+    else:
+        local_write = ctx.local_write
+        for src, addr, ghost in reads:
+            local_write(ghost, sc.read_from(src, addr))
     if _trace.TRACE_ENABLED:
         _trace.emit("annex_ghost_fill", t=start_clock, pe=me,
                     direction=direction,
                     mechanism="get" if use_get else "read",
-                    count=filled, cycles=sc.ctx.clock - start_clock)
+                    count=len(reads), cycles=sc.ctx.clock - start_clock)
+
+
+def _ghost_reads_fast(sc, reads) -> None:
+    """Blocking ghost reads over ``(src, addr, ghost)`` triples with
+    ``read_from``'s remote branch inlined: the same Annex set-up,
+    uncached read, and extra-cycle charges in the same order — only
+    the per-element Python call chain (``read_from`` ->
+    ``_setup_annex`` -> ``charge`` x2 -> ``_record``) is flattened and
+    its attribute lookups hoisted out of the loop.  Sources in a ghost
+    plan are always remote and the read mechanism must be the adopted
+    uncached one.
+    """
+    ctx = sc.ctx
+    local_write = ctx.local_write
+    annex = ctx.node.annex
+    annex_setup = sc.annex_policy.setup
+    uncached_read = ctx.node.remote.uncached_read
+    read_extra = ctx.node.params.shell.remote.splitc_read_extra_cycles
+    record_stat = sc.stats.record
+    rec = None
+    for src, addr, ghost in reads:
+        before = ctx.clock
+        _index, cyc = annex_setup(annex, src)
+        clock = before + cyc
+        cycles, value = uncached_read(clock, src, addr)
+        ctx.clock = clock + cycles + read_extra
+        if rec is None:
+            record_stat("read (remote)", ctx.clock - before)
+            rec = sc.stats.ops["read (remote)"]
+        else:
+            rec.count += 1
+            rec.cycles += ctx.clock - before
+        local_write(ghost, value)
 
 
 def _ghost_fill_puts(sc, graph, layout, direction: str):
-    """Owners push their values into consumers' ghost slots.
-
-    Fast path: ``put_to``'s remote branch inlined — identical Annex
-    set-up, address composition, remote store, and extra-cycle charges
-    in the same order, with the per-element call chain flattened and
-    attribute lookups hoisted (consumers in the loop are never the
-    owner, so the local branch cannot be taken).  Span-traced runs use
-    the generic path.
-    """
+    """Owners push their values into consumers' ghost slots, the whole
+    phase in one :meth:`~repro.splitc.runtime.SplitC.put_scatter` call
+    so its set-up amortizes across every consumer group (groups are
+    tiny at high processor counts)."""
     ctx = sc.ctx
     plan = graph.e_plan if direction == "e" else graph.h_plan
     vals = layout.h_vals if direction == "e" else layout.e_vals
     ghosts = layout.e_ghosts if direction == "e" else layout.h_ghosts
     me = sc.my_pe
     start_clock = ctx.clock if _trace.TRACE_ENABLED else 0.0
-    pushed = 0
-    fast = USE_FAST_FILL and sc.trace is None
     # The plan's sender lists invert the needed[][] map: each producer
     # iterates only its own consumers instead of scanning every
     # processor, and a consumer's ghost slots for this source are
     # ``slot_base + k`` in list order — the same (consumer, idx)
-    # sequence the full scan visited.  The whole phase goes to
-    # put_scatter in one call so its set-up amortizes across every
-    # consumer group (groups are tiny at high processor counts).
-    if fast:
-        groups = []
-        for consumer, idxs, base in plan.senders[me]:
-            pairs = [(vals + idx * VALUE_BYTES,
-                      ghosts + (base + k) * VALUE_BYTES)
-                     for k, idx in enumerate(idxs)]
-            groups.append((consumer, pairs))
-            pushed += len(pairs)
-        sc.put_scatter(groups)
-    else:
-        local_read = ctx.local_read
-        for consumer, idxs, base in plan.senders[me]:
-            for k, idx in enumerate(idxs):
-                sc.put_to(consumer,
-                          ghosts + (base + k) * VALUE_BYTES,
-                          local_read(vals + idx * VALUE_BYTES))
-                pushed += 1
+    # sequence the full scan visited.
+    groups = []
+    pushed = 0
+    for consumer, idxs, base in plan.senders[me]:
+        pairs = [(vals + idx * VALUE_BYTES,
+                  ghosts + (base + k) * VALUE_BYTES)
+                 for k, idx in enumerate(idxs)]
+        groups.append((consumer, pairs))
+        pushed += len(pairs)
+    sc.put_scatter(groups)
     # Completion is deferred to the all_store_sync that follows.
     if _trace.TRACE_ENABLED:
         _trace.emit("annex_ghost_fill", t=start_clock, pe=me,

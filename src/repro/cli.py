@@ -279,6 +279,8 @@ def _cmd_models_report(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro`` argparse tree (exposed for docs-integrity tests)."""
+    from repro.reporting.series import SERIES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="CRAY-T3D reproduction toolkit (ISCA 1995)")
@@ -320,6 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench",
                        help="profile a named experiment under cProfile")
     p.add_argument("experiment",
+                   choices=[*SERIES, "em3d", "headlines"],
                    help="fig1, fig2, fig4-fig9, em3d, or headlines")
     p.add_argument("--quick", action="store_true",
                    help="reduced problem sizes")
@@ -329,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series",
                        help="emit one figure's data series as CSV")
-    p.add_argument("figure", help="fig1, fig2, fig4-fig9")
+    p.add_argument("figure", choices=list(SERIES),
+                   help="fig1, fig2, fig4-fig9")
     p.add_argument("--quick", action="store_true")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_series)

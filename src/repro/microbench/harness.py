@@ -18,12 +18,17 @@ the number of accesses per pass; because the stimulus is periodic, the
 steady-state average converges long before a full pass over an 8 MB
 array.
 
-Two fast paths keep the sweeps cheap without changing a single number:
+Each point runs on one of two tiers, with identical numbers: the
+per-access reference loop below, or the vectorized tier
+(:mod:`repro.vector`).  Without numpy, with ``REPRO_VECTOR=0``, or for
+a point the vectorized tier declines, the reference loop runs.  Two
+fast paths keep the sweeps cheap without changing a single number:
 
-* ``sweep_fn`` — a model-supplied batched runner for one (size, stride)
-  point (e.g. :meth:`repro.node.memsys.MemorySystem.read_sweep`) that
-  is exactly equivalent to the per-access loop; the golden-equivalence
-  suite (``tests/test_fastpath_equivalence.py``) asserts identity.
+* ``sweep_fn`` — a batched runner for one (size, stride) point (the
+  vectorized tier's kernel, from :func:`repro.vector.stride_sweep_fn`)
+  that is exactly equivalent to the per-access loop; the golden
+  suites (``tests/test_vector_equivalence.py``,
+  ``tests/properties/test_vector_properties.py``) assert identity.
 * ``memo_key`` — when the probe cold-starts state before every point
   (``reset_fn``), each point is a pure function of (machine parameters,
   address list, pass counts); identical points are computed once per

@@ -135,13 +135,15 @@ class ResultCache:
 
     def get(self, key: str) -> tuple[bool, object]:
         """Return ``(hit, value)``; unreadable entries count as misses
-        (they are recomputed and overwritten, never propagated)."""
+        (they are recomputed and overwritten, never propagated).  A
+        corrupt pickle can fail with almost any exception (a bad
+        protocol header raises ``ValueError``), so every load failure
+        is a miss."""
         path = self.path_for(key)
         try:
             with open(path, "rb") as handle:
                 value = pickle.load(handle)
-        except (OSError, EOFError, pickle.UnpicklingError,
-                AttributeError, ImportError, IndexError):
+        except Exception:
             self.misses += 1
             _STATS["misses"] += 1
             return False, None

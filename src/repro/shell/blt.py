@@ -17,13 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.params import BltParams, LOCAL_ADDR_MASK, WORD_BYTES
+from repro.simkernel import fastpath
 from repro.trace import tracer as _trace
 
 __all__ = ["BlockTransferEngine", "BltTransfer"]
-
-#: Escape hatch for the golden-equivalence tests: when False the data
-#: copy runs the reference per-word load/store loop.
-USE_BATCHED_COPY = True
 
 
 @dataclass
@@ -87,7 +84,7 @@ class BlockTransferEngine:
         covers the (never seen in practice) wrapping case.
         """
         base = src_offset & LOCAL_ADDR_MASK
-        if USE_BATCHED_COPY and base + (nwords - 1) * step <= LOCAL_ADDR_MASK:
+        if fastpath.ENABLED and base + (nwords - 1) * step <= LOCAL_ADDR_MASK:
             if step == WORD_BYTES:
                 return src_mem.load_range(base, nwords)
             return src_mem.load_stride(base, step, nwords)
@@ -110,7 +107,7 @@ class BlockTransferEngine:
         step = stride_bytes if stride_bytes else WORD_BYTES
         nwords = self._words(nbytes)
         dst_base = dst_offset & LOCAL_ADDR_MASK
-        if (USE_BATCHED_COPY and step == WORD_BYTES
+        if (fastpath.ENABLED and step == WORD_BYTES
                 and (src_offset & LOCAL_ADDR_MASK) + (nwords - 1) * step
                 <= LOCAL_ADDR_MASK
                 and dst_base + (nwords - 1) * WORD_BYTES <= LOCAL_ADDR_MASK
@@ -121,7 +118,7 @@ class BlockTransferEngine:
             # intermediate Python list.
             return initiate, BltTransfer(completion, nbytes, "read")
         values = self._gather(src_mem, src_offset, step, nwords)
-        if USE_BATCHED_COPY and (dst_base + (nwords - 1) * WORD_BYTES
+        if fastpath.ENABLED and (dst_base + (nwords - 1) * WORD_BYTES
                                  <= LOCAL_ADDR_MASK):
             dst_mem.store_range(dst_base, values)
         else:
@@ -142,7 +139,7 @@ class BlockTransferEngine:
         step = stride_bytes if stride_bytes else WORD_BYTES
         nwords = self._words(nbytes)
         dst_base = dst_offset & LOCAL_ADDR_MASK
-        if (USE_BATCHED_COPY and step == WORD_BYTES
+        if (fastpath.ENABLED and step == WORD_BYTES
                 and (src_offset & LOCAL_ADDR_MASK) + (nwords - 1) * step
                 <= LOCAL_ADDR_MASK
                 and dst_base + (nwords - 1) * WORD_BYTES <= LOCAL_ADDR_MASK
@@ -159,7 +156,7 @@ class BlockTransferEngine:
             )
             return initiate, BltTransfer(completion, nbytes, "write")
         values = self._gather(src_mem, src_offset, step, nwords)
-        if USE_BATCHED_COPY and (dst_base + (nwords - 1) * WORD_BYTES
+        if fastpath.ENABLED and (dst_base + (nwords - 1) * WORD_BYTES
                                  <= LOCAL_ADDR_MASK):
             # Stores don't read the cache, so committing all words and
             # then dropping the covered lines is the same end state as

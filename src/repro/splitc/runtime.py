@@ -32,6 +32,7 @@ from repro.node.alpha import extract_byte, merge_byte_into_word
 from repro.node.write_buffer import PendingWrite
 from repro.params import ANNEX_BIT_SHIFT, LOCAL_ADDR_MASK, WORD_BYTES
 from repro.shell.annex import AnnexEntry, ReadMode
+from repro.simkernel import fastpath
 from repro.splitc.annex_policy import (
     MultiAnnexPolicy,
     OsManagedAnnexPolicy,
@@ -44,12 +45,6 @@ from repro.splitc.trace import SpanTrace
 from repro.trace import tracer as _trace
 
 __all__ = ["SplitC", "run_splitc"]
-
-#: Escape hatch for the flattened ``put_gathered`` kernel: when False
-#: (or whenever any tracing is attached, or the cohort tier is off)
-#: the per-element generic loop runs instead.  The golden equivalence
-#: suite flips this to prove the two paths are bit-identical.
-USE_FAST_PUT_GROUP = True
 
 #: Annex policies whose ``setup`` is *stationary* from the second
 #: consecutive same-target call on: every further call returns the
@@ -282,8 +277,9 @@ class SplitC:
                 for src, dst in pairs:
                     self.put_to(pe, dst, self.ctx.local_read(src))
 
-        With the cohort tier on and no tracing attached, the loop body
-        is flattened: the phase-invariant bindings (write buffer,
+        With the fast paths (:data:`repro.simkernel.fastpath.ENABLED`)
+        and the cohort tier on and no tracing attached, the loop body
+        is flattened (:meth:`_put_scatter_flat`): the phase-invariant bindings (write buffer,
         Annex, params) are hoisted once per *phase*, the per-target
         bindings (peer cache, retirement callback, DRAM geometry) once
         per *group*, the Annex set-up runs natively for the first two
@@ -296,7 +292,7 @@ class SplitC:
         """
         ctx = self.ctx
         policy = self.annex_policy
-        if (not USE_FAST_PUT_GROUP or self.trace is not None
+        if (not fastpath.ENABLED or self.trace is not None
                 or _trace.TRACE_ENABLED
                 or type(policy) not in _STATIONARY_POLICIES
                 or not cohort_enabled()):
@@ -306,7 +302,12 @@ class SplitC:
                 for src, dst in pairs:
                     put_to(pe, dst, local_read(src))
             return
+        self._put_scatter_flat(groups)
 
+    def _put_scatter_flat(self, groups) -> None:
+        """The flattened body of :meth:`put_scatter` (see there)."""
+        ctx = self.ctx
+        policy = self.annex_policy
         # Phase-invariant bindings: hoisted once, shared by all groups.
         node = ctx.node
         annex = node.annex

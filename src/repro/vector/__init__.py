@@ -1,16 +1,13 @@
 """The vectorized compute tier: numpy structure-of-arrays probe kernels.
 
-The repo now has **three** compute tiers for the probe and figure hot
-loops, selected per point and always bit-identical:
+The probe and figure hot loops have **two** compute tiers, selected
+per point and always bit-identical:
 
 1. **reference** — the per-access loop in
    :func:`repro.microbench.harness.run_stride_point`, one simulated
    memory operation per Python iteration.  Always available; the
    golden source of truth.
-2. **fast** — the flattened batched sweeps of PR 1
-   (:meth:`repro.node.memsys.MemorySystem.read_sweep` /
-   ``write_sweep``): same state transitions, fewer Python frames.
-3. **vectorized** (this package) — the whole address stream of one
+2. **vectorized** (this package) — the whole address stream of one
    (size, stride) point is generated up front as numpy arrays and the
    cache/TLB/DRAM-page/write-buffer timing is computed with vectorized
    tag arithmetic (set-index diffs, per-bank row diffs, modular
@@ -23,17 +20,17 @@ loops, selected per point and always bit-identical:
 Tier selection
 --------------
 ``REPRO_VECTOR=0`` disables the tier (``1``/unset enables it).  When
-numpy is not importable the tier silently degrades to the fast tier
-after a one-line warning — the package never *requires* numpy (it is
-the ``vector`` optional dependency in ``pyproject.toml``).
+numpy is not importable the tier silently degrades to the reference
+loop after a one-line warning — the package never *requires* numpy (it
+is the ``vector`` optional dependency in ``pyproject.toml``).
 
 A stimulus the kernels cannot express — state-coupled write-buffer
 timing, set-associative caches, a machine shape outside the probe's
 claim — raises :class:`UnsupportedStimulus`; the harness catches it
-and falls back to the fast tier (when the probe supplies one) or the
-reference loop.  :data:`CLAIMED_FAMILIES` records, per probe family,
-whether the tier claims it at all; the unclaimed families are claimed
-*not to be claimed* by ``tests/vector/test_fallback.py``.
+and runs the reference loop for that point.  :data:`CLAIMED_FAMILIES`
+records, per probe family, whether the tier claims it at all; the
+unclaimed families are claimed *not to be claimed* by
+``tests/vector/test_fallback.py``.
 
 Beyond the probe sweeps, the tier also computes the EM3D compute
 phase (:mod:`repro.vector.em3d`): one processor's whole phase from the
@@ -42,7 +39,7 @@ state rather than a reset one.  Its clock stream depends on addresses
 only; a phase whose write-buffer traffic would couple stores, or whose
 words the segment tier cannot vouch for, declines with
 :class:`UnsupportedStimulus` before changing anything and runs on the
-scalar loop.
+reference loop.
 
 This module imports neither numpy nor the kernel modules at import
 time, so ``import repro`` works on a numpy-less interpreter.
@@ -133,46 +130,33 @@ def enabled() -> bool:
         if not _warned_missing_numpy:
             warnings.warn(
                 "repro.vector: numpy is not installed; falling back to "
-                "the fast tier (pip install 'repro-t3d[vector]')",
+                "the reference loop (pip install 'repro-t3d[vector]')",
                 RuntimeWarning, stacklevel=2)
             _warned_missing_numpy = True
         return False
     return True
 
 
-def stride_sweep_fn(family: str, *, fallback=None, **geometry):
-    """Build a batched ``sweep_fn`` for one probe family, or hand back
-    ``fallback`` when the tier is off, unavailable, or does not claim
-    the family/geometry.
+def stride_sweep_fn(family: str, **geometry):
+    """Build a batched ``sweep_fn`` for one probe family, or ``None``
+    when the tier is off, unavailable, or does not claim the
+    family/geometry.
 
     The returned callable has the
     :func:`repro.microbench.harness.run_stride_point` contract
     ``sweep_fn(base, stride, count, warmup_passes, measure_passes) ->
     (total, accesses)`` and assumes the probe's ``reset_fn`` has
     cold-started the machine (every stride probe does).  A per-point
-    :class:`UnsupportedStimulus` re-routes that point to ``fallback``
-    when one was given; with no fallback the exception propagates and
-    the harness runs the reference loop instead.
+    :class:`UnsupportedStimulus` propagates to the harness, which runs
+    the reference loop for that point instead.
     """
     if not claims(family) or not enabled():
-        return fallback
+        return None
     from repro.vector import sweeps
     try:
-        kernel = sweeps.build(family, **geometry)
+        return sweeps.build(family, **geometry)
     except UnsupportedStimulus:
-        return fallback
-    if fallback is None:
-        return kernel
-
-    def sweep(base, stride, count, warmup_passes, measure_passes):
-        try:
-            return kernel(base, stride, count, warmup_passes,
-                          measure_passes)
-        except UnsupportedStimulus:
-            return fallback(base, stride, count, warmup_passes,
-                            measure_passes)
-
-    return sweep
+        return None
 
 
 def streaming_read_total(node_params, nbytes: int):

@@ -15,9 +15,9 @@ closed form:
    order, into one DRAM stream starting from the live open rows
    (:meth:`Dram.access_batch`).
 3. The clock is one ``np.cumsum`` over the per-operation increments
-   laid out in the scalar loop's exact order (load, load, load, flop,
+   laid out in the reference loop's exact order (load, load, load, flop,
    overhead, ..., store issue); cumulative sums add strictly left to
-   right, so every partial clock carries the scalar loop's bits.
+   right, so every partial clock carries the reference loop's bits.
 4. The write buffer is a self-consistency check
    (:meth:`WriteBuffer.isolated_run_retires`): if every output store
    lands on its own line and each entry retires before the next store
@@ -29,14 +29,14 @@ closed form:
    and no other processor runs during the phase.
 5. Neighbour values come from one segment gather
    (:meth:`WordMemory.gather_floats`), with the words of entries
-   pending before the phase patched in (the scalar loop sees them by
+   pending before the phase patched in (the reference loop sees them by
    forwarding or after their commit — the same value).  ``acc`` is a
    zeros array accumulated one degree column at a time, in edge
-   order, so each node's sum adds in the scalar order.
+   order, so each node's sum adds in the reference loop's order.
 
 Anything outside these conditions raises
 :class:`~repro.vector.UnsupportedStimulus` before any unit changes;
-the caller then runs the scalar loop.  Long phases are processed in
+the caller then runs the reference loop.  Long phases are processed in
 chunks of nodes carrying the unit state forward, bounding the
 transient arrays; the units are committed once, at the end.
 """
@@ -101,7 +101,7 @@ def compute_phase(ctx, n: int, degree: int, adj_base: int, out_base: int,
                   per_edge_overhead: float, value_bytes: int) -> None:
     """Run one processor's local compute phase (every version but
     "simple"): identical clocks, values, unit state and counters to
-    the scalar loop, or :class:`UnsupportedStimulus` with nothing
+    the reference loop, or :class:`UnsupportedStimulus` with nothing
     changed."""
     memsys = ctx.node.memsys
     if memsys.l2 is not None or not memsys.params.tlb.never_misses:
@@ -186,7 +186,7 @@ def compute_phase(ctx, n: int, degree: int, adj_base: int, out_base: int,
         dram_cf += stream.same_bank_conflicts
         cost = np.full(events.shape, hit_cycles, dtype=np.float64)
         cost[to_dram] = stream.costs
-        # Clock increments in the scalar order, then one running sum.
+        # Clock increments in the reference loop's order, then one running sum.
         per_edge = np.empty((m, degree, 5), dtype=np.float64)
         per_edge[:, :, :3] = cost[:, :-1].reshape(m, degree, 3)
         per_edge[:, :, 3] = flop
@@ -227,7 +227,7 @@ def compute_phase(ctx, n: int, degree: int, adj_base: int, out_base: int,
                 total += products[:, d]
         acc[c0:c1] = total
 
-    # Every check passed: commit, in the scalar loop's order of effects.
+    # Every check passed: commit, in the reference loop's order of effects.
     wb.flush_retired(first_start)
     out_seg, out_i = out_run
     out_seg.write_floats(out_i, acc[:-1])

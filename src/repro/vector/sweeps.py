@@ -138,8 +138,8 @@ def _build_local_write(*, node_params: NodeParams):
         raise UnsupportedStimulus("write buffer without entries")
 
     def sweep(base, stride, count, warmup_passes, measure_passes):
-        """Twin of :meth:`MemorySystem.write_sweep` /
-        :meth:`MemorySystem.write_cycles`.
+        """Twin of the per-store :meth:`MemorySystem.write_cycles`
+        loop.
 
         Write timing is genuinely sequential — merging couples to the
         drain schedule, which couples to the running clock — so the
@@ -167,8 +167,7 @@ def _build_local_write(*, node_params: NodeParams):
           relative to now) as the previous pass repeats its total
           verbatim.  From the second pass boundary on (where the TLB
           cost pattern is also pass-invariant), remaining passes are
-          replayed without simulation — the write twin of
-          ``read_sweep``'s fixed-point detection.
+          replayed without simulation.
         * The generic loop (merging strides) runs over precomputed
           Python lists with the pending buffer as parallel scalars
           and a head pointer, replacing the reference's per-store

@@ -1,18 +1,20 @@
 """Golden suite for the numpy EM3D compute phase.
 
-Three spellings of one processor's compute phase must be
+Three configurations of one processor's compute phase must be
 indistinguishable: the numpy whole-phase kernel
-(:func:`repro.vector.em3d.compute_phase`), the inlined scalar loop
-(``REPRO_VECTOR=0``) and the reference per-access loop
-(``kernels.USE_FAST_COMPUTE = False``).  Every run is fingerprinted —
+(:func:`repro.vector.em3d.compute_phase`), ``REPRO_VECTOR=0`` (the
+inlined scalar loop for "simple", the reference loop for every other
+version) and the reference per-access loop
+(``repro.simkernel.fastpath.ENABLED = False``).  Every run is
+fingerprinted —
 results, clocks, op stats, unit state and counters, memory words and
 the entries left pending in each write buffer — and the fingerprints
 must be equal, for all seven versions and for the capacity point.
 
 The decline tests build phases the kernel must refuse and check that
 it did refuse (a spy records each :class:`UnsupportedStimulus`), that
-the refusal changed nothing, and that the scalar fallback then gives
-the identical answer.
+the refusal changed nothing, and that the reference-loop fallback then
+gives the identical answer.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.apps.em3d import VERSIONS, kernels, make_graph, run_em3d
 from repro.apps.em3d.million import _build_image, run_em3d_million
 from repro.machine.machine import Machine
 from repro.params import WORD_BYTES, t3d_machine_params
+from repro.simkernel import fastpath
 from repro.vector import UnsupportedStimulus
 
 SHAPES = {1: (1, 1, 1), 4: (2, 2, 1), 16: (4, 2, 2)}
@@ -56,7 +59,7 @@ def _tier(monkeypatch, tier: str) -> None:
         monkeypatch.delenv("REPRO_VECTOR", raising=False)
     else:
         monkeypatch.setenv("REPRO_VECTOR", "0")
-    monkeypatch.setattr(kernels, "USE_FAST_COMPUTE", tier != "reference")
+    monkeypatch.setattr(fastpath, "ENABLED", tier != "reference")
 
 
 def _units(machine) -> list:

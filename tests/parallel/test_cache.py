@@ -63,9 +63,11 @@ def test_corrupt_entry_counts_as_miss(tmp_path):
     key = cache.key("T", SPEC)
     path = cache.path_for(key)
     path.parent.mkdir(parents=True)
-    path.write_bytes(b"definitely not a pickle")
-    hit, value = cache.get(key)
-    assert not hit and value is None
+    # Garbage, and a pickle header with an unsupported protocol.
+    for corrupt in (b"definitely not a pickle", b"\x80\x09garbage"):
+        path.write_bytes(corrupt)
+        hit, value = cache.get(key)
+        assert not hit and value is None
     # A recompute overwrites the corrupt entry and heals the cache.
     cache.put(key, "healed")
     assert cache.get(key) == (True, "healed")

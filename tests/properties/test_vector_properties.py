@@ -1,9 +1,10 @@
-"""Property-based three-tier identity for the vectorized probe kernels.
+"""Property-based tier identity for the vectorized probe kernels.
 
 Hypothesis drives random point geometry (base, stride, access count,
-pass counts) through all three compute tiers of one (size, stride)
-point and asserts identical totals — the per-point analogue of the
-curve-level golden suite in ``tests/test_vector_equivalence.py``.
+pass counts) through both compute tiers (reference loop, vectorized)
+of one (size, stride) point and asserts identical totals — the
+per-point analogue of the curve-level golden suite in
+``tests/test_vector_equivalence.py``.
 
 The explicit edge-case table below pins the boundary geometry that the
 analytic kernels reason about in closed form, so each regime is
@@ -55,20 +56,17 @@ def _reference_total(access_fn, reset_fn, base, stride, count,
     return total, measured
 
 
-def _assert_three_way(family, make_memsys, base, stride, count,
-                      warmup_passes, measure_passes):
+def _assert_tiers_agree(family, make_memsys, base, stride, count,
+                        warmup_passes, measure_passes):
     ms = make_memsys()
     access_fn = ms.read_cycles if family == "local_read" else ms.write_cycles
-    fast_fn = ms.read_sweep if family == "local_read" else ms.write_sweep
     vec_fn = stride_sweep_fn(family, node_params=ms.params)
     assert vec_fn is not None, "vector tier must claim local probes"
 
     ref = _reference_total(access_fn, ms.reset, base, stride, count,
                            warmup_passes, measure_passes)
     ms.reset()
-    fast = fast_fn(base, stride, count, warmup_passes, measure_passes)
     vec = vec_fn(base, stride, count, warmup_passes, measure_passes)
-    assert fast == ref
     assert vec == ref
 
 
@@ -91,8 +89,8 @@ point_geometry = dict(
 def test_random_points_identical_across_tiers(family, make_memsys, base,
                                               stride, count, warmup_passes,
                                               measure_passes):
-    _assert_three_way(family, make_memsys, base, stride, count,
-                      warmup_passes, measure_passes)
+    _assert_tiers_agree(family, make_memsys, base, stride, count,
+                        warmup_passes, measure_passes)
 
 
 #: (label, base, stride, count, warmup, measure) — see module docstring.
@@ -123,5 +121,5 @@ EDGE_POINTS = [
 def test_edge_points_identical_across_tiers(family, make_memsys, label,
                                             base, stride, count, warmup,
                                             measure):
-    _assert_three_way(family, make_memsys, base, stride, count,
-                      warmup, measure)
+    _assert_tiers_agree(family, make_memsys, base, stride, count,
+                        warmup, measure)

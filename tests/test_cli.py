@@ -56,6 +56,17 @@ def test_unknown_command_rejected():
         main(["frobnicate"])
 
 
+@pytest.mark.parametrize("command", ["bench", "series"])
+def test_unknown_figure_rejected_with_valid_names(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "nosuch"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'nosuch'" in err
+    assert "fig9" in err
+    assert ("headlines" in err) == (command == "bench")
+
+
 def test_experiments_json_output(tmp_path):
     import json
     target = tmp_path / "record.json"

@@ -8,8 +8,10 @@ loop.  Every scenario below runs three times on fresh machines —
 
 * **reference** — ``REPRO_COHORT=0``: event-at-a-time scheduler, and
   every cohort-gated fast path falls back to the generic loops;
-* **cohort** — cohort scheduler with the flattened put group *off*;
-* **cohort+flat** — cohort scheduler with the flattened put group;
+* **cohort** — cohort scheduler with the fast paths
+  (``repro.simkernel.fastpath.ENABLED``), the flattened put group among
+  them, *off*;
+* **cohort+flat** — cohort scheduler with the fast paths on;
 
 and the full observable state (results, per-processor clocks, op
 stats, unit counters, raw memory words) must compare equal — same
@@ -31,7 +33,7 @@ import pytest
 from repro.apps import spmd_workloads
 from repro.machine.machine import Machine
 from repro.params import t3d_machine_params
-from repro.splitc import runtime as runtime_mod
+from repro.simkernel import fastpath
 
 CONFIGS = ("reference", "cohort", "cohort+flat")
 
@@ -39,9 +41,9 @@ CONFIGS = ("reference", "cohort", "cohort+flat")
 @contextmanager
 def _config(name: str):
     saved_env = os.environ.get("REPRO_COHORT")
-    saved_flag = runtime_mod.USE_FAST_PUT_GROUP
+    saved_flag = fastpath.ENABLED
     os.environ["REPRO_COHORT"] = "0" if name == "reference" else "1"
-    runtime_mod.USE_FAST_PUT_GROUP = name == "cohort+flat"
+    fastpath.ENABLED = name == "cohort+flat"
     try:
         yield
     finally:
@@ -49,7 +51,7 @@ def _config(name: str):
             os.environ.pop("REPRO_COHORT", None)
         else:
             os.environ["REPRO_COHORT"] = saved_env
-        runtime_mod.USE_FAST_PUT_GROUP = saved_flag
+        fastpath.ENABLED = saved_flag
 
 
 def _machine_fingerprint(machine):

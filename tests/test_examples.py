@@ -5,6 +5,7 @@ its quick flag where one exists) and must exit 0 and print something
 sensible.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -36,8 +37,11 @@ def test_every_example_has_a_case():
 @pytest.mark.parametrize("script,args,marker", CASES,
                          ids=[c[0] for c in CASES])
 def test_example_runs(script, args, marker):
+    # The scripts import the package from the checkout, as pytest does.
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     result = subprocess.run(
         [sys.executable, str(EXAMPLES / script), *args],
-        capture_output=True, text=True, timeout=300, cwd=ROOT)
+        capture_output=True, text=True, timeout=300, cwd=ROOT, env=env)
     assert result.returncode == 0, result.stderr[-2000:]
     assert marker in result.stdout

@@ -1,14 +1,13 @@
 """Golden-equivalence suite: the fast paths ARE the reference model.
 
-Every batched/inlined fast path added for performance keeps an escape
-hatch back to the reference per-access implementation:
+Every batched/inlined fast path added for performance has a way back
+to the reference per-access implementation:
 
 * probe harness: ``sweep_fn=None`` / ``memo_key=None`` force the
   per-access loop and disable the point memo;
-* ``repro.splitc.bulk.USE_BATCHED_BULK`` — inlined bulk word loops;
-* ``repro.shell.blt.USE_BATCHED_COPY`` — range-op BLT data movement;
-* ``repro.apps.em3d.kernels.USE_FAST_COMPUTE`` — the inlined EM3D
-  compute phase.
+* ``repro.simkernel.fastpath.ENABLED`` — the one switch over the
+  inlined bulk word loops, the range-op BLT data movement, the flat
+  ``put_scatter``, the EM3D ghost fill and the EM3D compute phase.
 
 These tests run the same experiment down both paths and assert the
 results are *identical* — same floats, same counters, same memory
@@ -26,9 +25,9 @@ import pytest
 from repro.machine.machine import Machine
 from repro.microbench import probes
 from repro.microbench.harness import clear_probe_memo
-from repro.node.memsys import t3d_memory_system, workstation_memory_system
+from repro.node.memsys import t3d_memory_system
 from repro.params import WORD_BYTES, t3d_machine_params
-from repro.shell import blt as blt_mod
+from repro.simkernel import fastpath
 from repro.splitc import bulk
 from repro.splitc.gptr import GlobalPtr
 from repro.splitc.runtime import SplitC
@@ -42,15 +41,14 @@ PROBE_SIZES = [4 * KB, 16 * KB, 64 * KB]
 
 @contextmanager
 def _reference_paths():
-    """Temporarily flip every fast-path escape hatch to the reference
+    """Temporarily switch every fast path to the reference
     implementation."""
-    saved = (bulk.USE_BATCHED_BULK, blt_mod.USE_BATCHED_COPY)
-    bulk.USE_BATCHED_BULK = False
-    blt_mod.USE_BATCHED_COPY = False
+    saved = fastpath.ENABLED
+    fastpath.ENABLED = False
     try:
         yield
     finally:
-        bulk.USE_BATCHED_BULK, blt_mod.USE_BATCHED_COPY = saved
+        fastpath.ENABLED = saved
 
 
 def _points(curves):
@@ -59,30 +57,8 @@ def _points(curves):
 
 
 # ----------------------------------------------------------------------
-# Figure 1 / Figure 2: local read and write sweeps
+# Figure 1: the probe point memo
 # ----------------------------------------------------------------------
-
-@pytest.mark.parametrize("make_memsys", [t3d_memory_system,
-                                         workstation_memory_system],
-                         ids=["t3d", "workstation"])
-def test_fig1_read_sweep_matches_reference(make_memsys):
-    fast = probes.local_read_probe(make_memsys(), sizes=PROBE_SIZES,
-                                   memo_key=None)
-    ref = probes.local_read_probe(make_memsys(), sizes=PROBE_SIZES,
-                                  sweep_fn=None, memo_key=None)
-    assert _points(fast) == _points(ref)
-
-
-@pytest.mark.parametrize("make_memsys", [t3d_memory_system,
-                                         workstation_memory_system],
-                         ids=["t3d", "workstation"])
-def test_fig2_write_sweep_matches_reference(make_memsys):
-    fast = probes.local_write_probe(make_memsys(), sizes=PROBE_SIZES,
-                                    memo_key=None)
-    ref = probes.local_write_probe(make_memsys(), sizes=PROBE_SIZES,
-                                   sweep_fn=None, memo_key=None)
-    assert _points(fast) == _points(ref)
-
 
 def test_probe_memo_replays_identical_points():
     clear_probe_memo()
@@ -215,17 +191,13 @@ def test_blt_batched_copy_identical(stride):
 # ----------------------------------------------------------------------
 
 def test_fig9_em3d_sweep_matches_reference():
-    from repro.apps.em3d import driver, kernels
+    from repro.apps.em3d import driver
 
     kw = dict(fractions=(0.0, 0.5), nodes_per_pe=30, degree=4,
               shape=(2, 1, 1))
     fast = driver.sweep(**kw)
-    saved = kernels.USE_FAST_COMPUTE
-    kernels.USE_FAST_COMPUTE = False
-    try:
+    with _reference_paths():
         ref = driver.sweep(**kw)
-    finally:
-        kernels.USE_FAST_COMPUTE = saved
     assert fast == ref
 
 
@@ -233,16 +205,64 @@ def test_fig9_ghost_fill_fast_path_matches_reference():
     """The inlined ghost-fill loops (reads and puts) must reproduce the
     generic ``read_from``/``put_to`` paths exactly — every version that
     fills ghosts, at a communication-heavy fraction."""
-    from repro.apps.em3d import driver, kernels
+    from repro.apps.em3d import driver
 
     kw = dict(fractions=(0.2, 0.5),
               versions=("bundle", "unroll", "put", "msg"),
               nodes_per_pe=30, degree=4, shape=(2, 1, 1))
     fast = driver.sweep(**kw)
-    saved = kernels.USE_FAST_FILL
-    kernels.USE_FAST_FILL = False
-    try:
+    with _reference_paths():
         ref = driver.sweep(**kw)
-    finally:
-        kernels.USE_FAST_FILL = saved
     assert fast == ref
+
+
+# ----------------------------------------------------------------------
+# The one switch governs every fast-path gate
+# ----------------------------------------------------------------------
+
+def _spy_fast_paths(monkeypatch) -> dict:
+    """Wrap each fast-path entry point in a call counter."""
+    import repro.vector.em3d as vector_em3d
+    from repro.apps.em3d import kernels
+
+    calls = {}
+    targets = [
+        (bulk, "_store_stream_fast"),
+        (bulk, "_bulk_read_uncached_fast"),
+        (SplitC, "_put_scatter_flat"),
+        (kernels, "_ghost_reads_fast"),
+        (vector_em3d, "compute_phase"),
+        (kernels, "_compute_phase_simple"),
+    ]
+    for owner, name in targets:
+        real = getattr(owner, name)
+        calls[name] = 0
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("enabled", [False, True], ids=["off", "on"])
+def test_one_switch_governs_every_gate(monkeypatch, enabled):
+    pytest.importorskip("numpy")
+    from repro.apps.em3d import VERSIONS, make_graph, run_em3d
+
+    monkeypatch.delenv("REPRO_VECTOR", raising=False)
+    monkeypatch.delenv("REPRO_COHORT", raising=False)
+    monkeypatch.setattr(fastpath, "ENABLED", enabled)
+    calls = _spy_fast_paths(monkeypatch)
+    probes.bulk_read_bandwidth_probe(sizes=FIG8_SIZES)
+    probes.bulk_write_bandwidth_probe(sizes=FIG8_SIZES[1:])
+    graph = make_graph(num_pes=4, nodes_per_pe=16, degree=3,
+                       remote_fraction=0.3, seed=2)
+    for version in VERSIONS:
+        run_em3d(Machine(t3d_machine_params((2, 2, 1))), graph, version,
+                 steps=1, warmup_steps=0)
+    if enabled:
+        assert all(calls.values()), calls
+    else:
+        assert not any(calls.values()), calls

@@ -1,15 +1,15 @@
-"""Golden three-way equivalence: reference == fast == vectorized.
+"""Golden equivalence: reference == vectorized.
 
 The vectorized tier (:mod:`repro.vector`) joins the fast paths of
 ``tests/test_fastpath_equivalence.py`` under the same doctrine: a tier
 is correct only if it reproduces the reference model *bit for bit* —
 same floats, same access counts — across every claimed probe family
 and machine shape.  Each test runs one probe three times on a cold
-machine:
+machine, over the two tiers:
 
 * **reference** — ``sweep_fn=None``: the per-access harness loop;
-* **fast** — ``REPRO_VECTOR=0``: the probes fall back to the batched
-  ``read_sweep`` / ``write_sweep`` model paths;
+* **vector off** — ``REPRO_VECTOR=0``: the probes build no batched
+  sweep, so this run is the reference loop too;
 * **vectorized** — ``REPRO_VECTOR=1``: the numpy tier.
 
 The point memo is cleared between runs so every tier computes every
@@ -41,7 +41,8 @@ def _points(curves):
 
 
 def _three_tiers(monkeypatch, run, run_reference):
-    """Run a probe on all three tiers, memo cleared between runs."""
+    """Run a probe vectorized, with the tier off, and on the explicit
+    reference loop, memo cleared between runs."""
     monkeypatch.setenv("REPRO_VECTOR", "1")
     clear_probe_memo()
     vectorized = run()
@@ -92,8 +93,6 @@ def test_remote_read_three_tiers_identical(monkeypatch, mechanism):
 
     vec, fast, ref = _three_tiers(
         monkeypatch, run, lambda: run(sweep_fn=None))
-    # remote_read has no fast-tier sweep, so REPRO_VECTOR=0 already
-    # runs the reference loop — the comparison is still three runs.
     assert _points(vec) == _points(ref)
     assert _points(fast) == _points(ref)
 

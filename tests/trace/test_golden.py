@@ -92,12 +92,13 @@ def test_counters_consistent_between_fast_and_reference_compute():
     whether the inlined fast compute path ran."""
     from repro.apps.em3d import kernels
     from repro.params import t3d_machine_params
+    from repro.simkernel import fastpath
     from repro.machine.machine import Machine
     from repro.apps.em3d.graph import make_graph
 
     def run_and_harvest(use_fast):
-        old = kernels.USE_FAST_COMPUTE
-        kernels.USE_FAST_COMPUTE = use_fast
+        old = fastpath.ENABLED
+        fastpath.ENABLED = use_fast
         try:
             trace.enable()
             machine = Machine(t3d_machine_params((2, 1, 1)))
@@ -107,7 +108,7 @@ def test_counters_consistent_between_fast_and_reference_compute():
                              warmup_steps=1)
             merged = trace.TRACER.provider_counters()
         finally:
-            kernels.USE_FAST_COMPUTE = old
+            fastpath.ENABLED = old
             trace.disable()
         return merged
 

@@ -2,10 +2,10 @@
 
 The vectorized tier must never be load-bearing: with ``REPRO_VECTOR=0``,
 with numpy missing, or for any stimulus it does not claim, every probe
-must degrade to the fast or reference tier and produce the same
-numbers.  These tests pin that contract — including the per-family
-claim table, so silently starting (or stopping) to claim a family is a
-visible diff.
+must degrade to the reference loop and produce the same numbers.
+These tests pin that contract — including the per-family claim table,
+so silently starting (or stopping) to claim a family is a visible
+diff.
 """
 
 from __future__ import annotations
@@ -50,9 +50,7 @@ def test_claimed_families_pinned():
 
 def test_unknown_family_is_not_claimed():
     assert not vector.claims("no_such_probe")
-    sentinel = object()
-    assert vector.stride_sweep_fn("no_such_probe",
-                                  fallback=sentinel) is sentinel
+    assert vector.stride_sweep_fn("no_such_probe") is None
 
 
 # ----------------------------------------------------------------------
@@ -63,10 +61,9 @@ def test_unknown_family_is_not_claimed():
 def test_env_disables_tier(monkeypatch, value):
     monkeypatch.setenv("REPRO_VECTOR", value)
     assert not vector.enabled()
-    sentinel = object()
     ms = t3d_memory_system()
-    assert vector.stride_sweep_fn("local_read", node_params=ms.params,
-                                  fallback=sentinel) is sentinel
+    assert vector.stride_sweep_fn("local_read",
+                                  node_params=ms.params) is None
     assert vector.streaming_read_total(ms.params, 4096) is None
 
 
@@ -105,7 +102,7 @@ def test_missing_numpy_warns_exactly_once(no_numpy):
 
 def test_missing_numpy_probe_still_runs(no_numpy):
     """The full probe path works without numpy — it just computes on
-    the fast tier."""
+    the reference loop."""
     ms = t3d_memory_system()
     with pytest.warns(RuntimeWarning):
         curves = probes.local_read_probe(ms, sizes=[4096], memo_key=None)
@@ -117,24 +114,22 @@ def test_missing_numpy_probe_still_runs(no_numpy):
 # ----------------------------------------------------------------------
 
 def test_unsupported_point_routes_to_fallback():
+    """The kernel declines a point it cannot express by raising, which
+    routes the point to the reference loop (see the next test), and
+    answers a canonical point with the reference loop's numbers."""
     pytest.importorskip("numpy")
     ms = t3d_memory_system()
-    calls = []
-
-    def fallback(base, stride, count, warmup, measure):
-        calls.append((base, stride, count, warmup, measure))
-        return 42.0, count * measure
-
-    sweep = vector.stride_sweep_fn("local_read", node_params=ms.params,
-                                   fallback=fallback)
-    assert sweep is not fallback         # the tier claimed the family
-    # Non-canonical geometry: the kernel declines, the fallback runs.
-    total, count = sweep(0, -8, 4, 1, 2)
-    assert (total, count) == (42.0, 8)
-    assert calls == [(0, -8, 4, 1, 2)]
-    # Canonical geometry: the kernel answers, the fallback stays cold.
-    sweep(0, 8, 4, 1, 2)
-    assert len(calls) == 1
+    sweep = vector.stride_sweep_fn("local_read", node_params=ms.params)
+    assert sweep is not None             # the tier claimed the family
+    # Non-canonical geometry: the kernel declines.
+    with pytest.raises(UnsupportedStimulus):
+        sweep(0, -8, 4, 1, 2)
+    # Canonical geometry: the kernel answers, bit-identically.
+    spec = PointSpec(size=32, stride=8, naccesses=4)
+    got = run_stride_point(ms.read_cycles, spec, reset_fn=ms.reset,
+                           sweep_fn=sweep)
+    want = run_stride_point(ms.read_cycles, spec, reset_fn=ms.reset)
+    assert got == want
 
 
 def test_harness_falls_back_to_reference_loop():

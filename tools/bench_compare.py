@@ -112,9 +112,9 @@ VECTOR_EM3D_VERSIONS = ("bundle", "unroll", "get", "put", "bulk", "msg")
 
 
 def check_tiers() -> tuple[list[str], list[str]]:
-    """Cross-check the vectorized tier against the lower tiers on a
-    small probe subset and the EM3D compute phase; mismatches are
-    regressions."""
+    """Cross-check the vectorized tier against the reference loop on a
+    small probe subset and the EM3D compute phase (``REPRO_VECTOR=0``
+    runs the reference loop for both); mismatches are regressions."""
     import os
 
     from repro import vector
@@ -148,29 +148,31 @@ def check_tiers() -> tuple[list[str], list[str]]:
                    for p in run().points]
             harness.clear_probe_memo()
             os.environ["REPRO_VECTOR"] = "0"
-            low = [(p.size, p.stride, p.avg_cycles, p.accesses)
+            ref = [(p.size, p.stride, p.avg_cycles, p.accesses)
                    for p in run().points]
             harness.clear_probe_memo()
-            if vec == low:
+            if vec == ref:
                 lines.append(f"  tier ok   {name}: {len(vec)} points "
-                             "bit-identical")
+                             "bit-identical to the reference loop")
             else:
-                bad = sum(1 for a, b in zip(vec, low) if a != b)
+                bad = sum(1 for a, b in zip(vec, ref) if a != b)
                 regressions.append(
                     f"tier mismatch {name}: {bad}/{len(vec)} points "
-                    "differ between vectorized and fallback tiers")
+                    "differ between the vectorized tier and the "
+                    "reference loop")
         for version in VECTOR_EM3D_VERSIONS:
             os.environ["REPRO_VECTOR"] = "1"
             vec = _em3d_tier_run(version)
             os.environ["REPRO_VECTOR"] = "0"
-            low = _em3d_tier_run(version)
-            if vec == low:
+            ref = _em3d_tier_run(version)
+            if vec == ref:
                 lines.append(f"  tier ok   em3d {version}: us/edge, E/H "
-                             "and counters bit-identical at 4 PEs")
+                             "and counters bit-identical to the "
+                             "reference loop at 4 PEs")
             else:
                 regressions.append(
                     f"tier mismatch em3d {version}: the numpy compute "
-                    "phase differs from the scalar loop at 4 PEs")
+                    "phase differs from the reference loop at 4 PEs")
     finally:
         if saved is None:
             os.environ.pop("REPRO_VECTOR", None)
@@ -220,7 +222,7 @@ def main(argv=None) -> int:
                              "(MAPE-gate misses count as regressions)")
     parser.add_argument("--tiers", action="store_true",
                         help="also cross-check the vectorized compute "
-                             "tier against the fallback tiers "
+                             "tier against the reference loop "
                              "(mismatches count as regressions)")
     args = parser.parse_args(argv)
 
