@@ -36,6 +36,7 @@ class Machine:
         # sweeping all N nodes (per-waiter settles made that O(N^2)
         # per barrier epoch).
         self._dirty_buffers: list = []
+        self._peers: list = [None] * len(self.nodes)
         for node in self.nodes:
             node.memsys.write_buffer.settle_queue = self._dirty_buffers
 
@@ -54,6 +55,17 @@ class Machine:
 
     def hops(self, src: int, dst: int) -> int:
         return self.torus.hops(src, dst)
+
+    def hops_row(self, src: int):
+        """Hop counts from ``src`` to every processor (a typed array)."""
+        return self.torus.hops_row(src)
+
+    def peer_exports(self) -> list:
+        """Slots for every processor's :meth:`Node.peer_exports
+        <repro.machine.node.Node.peer_exports>` bundle, by processor
+        number: one list shared by every sender, each slot ``None``
+        until a sender first needs that target (and fills it)."""
+        return self._peers
 
     def notify_store_arrival(self, src_pe: int, dst_pe: int, nbytes: int,
                              arrival_time: float, addr: int = 0) -> None:

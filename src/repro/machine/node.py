@@ -17,7 +17,7 @@ from repro.shell.atomics import AtomicUnit
 from repro.shell.blt import BlockTransferEngine
 from repro.shell.msgqueue import MessageUnit
 from repro.shell.prefetch import PrefetchQueue
-from repro.shell.remote import RemoteAccessUnit, make_inbound_on_retire
+from repro.shell.remote import PeerExports, RemoteAccessUnit
 
 __all__ = ["HeapAllocator", "Node"]
 
@@ -65,7 +65,8 @@ class Node:
         self.remote = RemoteAccessUnit(
             params.shell.remote, params.network, pe, self.memsys, fabric)
         self.prefetch = PrefetchQueue(
-            params.shell.prefetch, params.network, pe, fabric)
+            params.shell.prefetch, params.network, pe, fabric,
+            params.shell.remote.remote_off_page_cycles)
         self.blt = BlockTransferEngine(params.shell.blt, pe, fabric)
         self.atomics = AtomicUnit(params.shell.atomics, pe, fabric)
         self.msgq = MessageUnit(params.shell.msgq, params.network, pe, fabric)
@@ -90,8 +91,8 @@ class Node:
         #: a ``("y", pe)`` event — the only state change that can make
         #: a blocked BytesArrivedCondition on this node ready.
         self.wake_sink: list | None = None
-        # Lazily-built bundle of target-side bindings for PeerLink
-        # (see peer_exports); shared by every source node's link here.
+        # Lazily-built bundle of target-side bindings (see
+        # peer_exports), shared by every sender.
         self._peer_exports = None
 
     def reset(self) -> None:
@@ -107,40 +108,17 @@ class Node:
         # _peer_exports survives reset on purpose: every member is a
         # stable object whose state containers reset in place.
 
-    def peer_exports(self) -> tuple:
-        """Target-side bindings every remote peer link needs.
-
-        At 1024 PEs a node is the store target of dozens of sources and
-        each source used to rebuild the same attribute-chain walks and
-        DRAM-geometry derivation for its own :class:`PeerLink`.  The
-        bundle is built once per *target* and shared; everything in it
-        is stable for the machine's life (``dram.reset`` clears
-        ``_open_row`` in place precisely so the bound list stays live).
-        """
+    def peer_exports(self) -> PeerExports:
+        """Target-side bindings every remote sender needs
+        (:class:`~repro.shell.remote.PeerExports`), built once per
+        *target* and shared: at 256 processors a node is the target of
+        about 150 senders, and per-pair copies of the same bindings
+        dominated the remote paths' set-up.  Every member is stable for
+        the machine's life (``dram.reset`` clears ``_open_row`` in
+        place precisely so the bound list stays live)."""
         ex = self._peer_exports
         if ex is None:
-            ms = self.memsys
-            dram = ms.dram
-            l1 = ms.l1
-            interleave = dram._interleave
-            banks = dram._banks
-            geom_flat = (interleave == dram._page_bytes
-                         and interleave & (interleave - 1) == 0
-                         and banks & (banks - 1) == 0)
-            # Direct-mapped tag store for inlined invalidates (None
-            # when set-associative — callers fall back to the method).
-            l1_tags = l1._tags if l1._assoc == 1 else None
-            ex = self._peer_exports = (
-                ms, dram, dram.access_with, dram.peek_access_with,
-                ms.params.dram.same_bank_cycles,
-                ms.params.dram.access_cycles,
-                ms.memory.load, ms.memory.store, l1.invalidate,
-                self.record_store_arrival,
-                geom_flat, interleave.bit_length() - 1, banks - 1,
-                banks.bit_length() - 1, dram._open_row,
-                l1_tags, l1._line_bytes, l1._num_sets,
-                make_inbound_on_retire(self, self.remote.params),
-            )
+            ex = self._peer_exports = PeerExports(self, self.remote.params)
         return ex
 
     # ------------------------------------------------------------------

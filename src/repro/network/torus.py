@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from array import array
+
 from repro.params import NetworkParams
 
 __all__ = ["Torus", "balanced_torus_shape"]
@@ -52,13 +54,11 @@ class Torus:
         self.shape = params.shape
         if any(dim < 1 for dim in self.shape):
             raise ValueError(f"torus dimensions must be >= 1, got {self.shape}")
-        # Hop counts are pure in (src, dst); memoize them — remote-access
-        # timing asks for the same pairs millions of times.
-        self._hops_cache: dict[tuple[int, int], int] = {}
-        # Coordinates of every node, built on first use: at 1024
-        # processors the scatter paths ask for ~200k *distinct* pairs,
-        # so even the cache-miss arithmetic is worth flattening.
-        self._coords_table: list[tuple[int, int, int]] | None = None
+        # Hop counts are pure in (src, dst) and asked for millions of
+        # times: one typed row per source, built on that source's first
+        # query (no per-pair objects; at 256 processors the whole
+        # table is 128 KB).
+        self._rows: list[array | None] = [None] * self.num_nodes
 
     @property
     def num_nodes(self) -> int:
@@ -87,32 +87,27 @@ class Torus:
         forward = (b - a) % size
         return min(forward, size - forward)
 
+    def hops_row(self, src: int) -> array:
+        """Hop counts from ``src`` to every node (dimension-order), as
+        a typed array indexed by destination node number."""
+        row = self._rows[src] if 0 <= src < len(self._rows) else None
+        if row is None:
+            sx, sy, sz = self.coords(src)
+            x_dim, y_dim, z_dim = self.shape
+            ring = self._ring_distance
+            dx = [ring(sx, x, x_dim) for x in range(x_dim)]
+            dy = [ring(sy, y, y_dim) for y in range(y_dim)]
+            dz = [ring(sz, z, z_dim) for z in range(z_dim)]
+            diameter = x_dim // 2 + y_dim // 2 + z_dim // 2
+            row = self._rows[src] = array(
+                "H" if diameter < 1 << 16 else "q",
+                [hx + hy + hz for hx in dx for hy in dy for hz in dz])
+        return row
+
     def hops(self, src: int, dst: int) -> int:
         """Number of network hops between two nodes (dimension-order)."""
-        cached = self._hops_cache.get((src, dst))
-        if cached is not None:
-            return cached
-        if src == dst:
-            count = 0
-        else:
-            table = self._coords_table
-            if table is None:
-                table = self._coords_table = [
-                    self.coords(i) for i in range(self.num_nodes)]
-            if not (0 <= src < len(table) and 0 <= dst < len(table)):
-                self._check_node(src)
-                self._check_node(dst)
-            sx, sy, sz = table[src]
-            dx, dy, dz = table[dst]
-            x_dim, y_dim, z_dim = self.shape
-            f = (dx - sx) % x_dim
-            count = f if f + f <= x_dim else x_dim - f
-            f = (dy - sy) % y_dim
-            count += f if f + f <= y_dim else y_dim - f
-            f = (dz - sz) % z_dim
-            count += f if f + f <= z_dim else z_dim - f
-        self._hops_cache[(src, dst)] = count
-        return count
+        self._check_node(dst)
+        return self.hops_row(src)[dst]
 
     def route(self, src: int, dst: int) -> list[int]:
         """The dimension-order path from src to dst, inclusive of both.

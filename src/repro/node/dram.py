@@ -126,11 +126,14 @@ class Dram:
         import numpy as np
         return np.array(self._open_row, dtype=np.int64), self._last_bank
 
-    def access_batch(self, addrs, state):
+    def access_batch(self, addrs, state, off_page_cycles=None,
+                     same_bank_cycles=None):
         """:meth:`access` over a whole int64 address array, starting
         from ``state`` (a :meth:`row_state` pair); returns a
         :class:`~repro.vector.kernels.DramStream` (costs, row misses,
-        same-bank conflicts, final open rows and last bank).
+        same-bank conflicts, final open rows and last bank).  With
+        ``off_page_cycles`` / ``same_bank_cycles`` given it is
+        :meth:`access_with` instead (the remote controller's penalties).
 
         Pure: nothing changes until :meth:`commit_batch` installs the
         final state and the counters.
@@ -141,8 +144,10 @@ class Dram:
         return dram_access_stream(
             addrs, interleave=self._interleave, banks=self._banks,
             page_bytes=self._page_bytes, access_cycles=self._access_cycles,
-            off_page_cycles=p.off_page_cycles,
-            same_bank_cycles=p.same_bank_cycles,
+            off_page_cycles=(p.off_page_cycles if off_page_cycles is None
+                             else off_page_cycles),
+            same_bank_cycles=(p.same_bank_cycles if same_bank_cycles is None
+                              else same_bank_cycles),
             open_row=open_row, last_bank=last_bank)
 
     def commit_batch(self, open_row, last_bank: int, *, accesses: int,

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from itertools import repeat
 from math import gcd
 
 from repro.params import WORD_BYTES
@@ -378,6 +379,13 @@ class WordMemory:
                         return seg.data[i:i + nwords].tolist()
                     read = seg.read
                     return [read(j) for j in range(i, i + nwords)]
+        end = base + nwords * WORD_BYTES
+        if (not self._segments or end <= self._seg_lo
+                or base > self._seg_hi):
+            # No segment in reach: the words are the dict's, unwritten
+            # ones reading int 0 (one C-level pass).
+            return list(map(self._words.get, range(base, end, WORD_BYTES),
+                            repeat(0, nwords)))
         load = self.load
         return [load(base + i * WORD_BYTES) for i in range(nwords)]
 
@@ -407,6 +415,11 @@ class WordMemory:
                     for k, value in enumerate(values):
                         write(i + k, value)
                     return
+        end = base + nwords * WORD_BYTES
+        if (not self._segments or end <= self._seg_lo
+                or base > self._seg_hi):
+            self._words.update(zip(range(base, end, WORD_BYTES), values))
+            return
         store = self.store
         for k, value in enumerate(values):
             store(base + k * WORD_BYTES, value)

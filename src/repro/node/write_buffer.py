@@ -46,10 +46,9 @@ class PendingWrite:
     drains; remote stores use this to inject their packet with the
     retire timestamp.
     ``meta``: opaque payload for the callback.  Remote stores carry
-    ``(flight_cycles, source_unit)`` here, which lets one retirement
-    callback per *target* node serve every sender (the per-pair part
-    of the packet travels with the entry instead of being closed
-    over).
+    the sending unit here, which lets one retirement callback per
+    *target* node serve every sender (the per-pair part of the packet
+    travels with the entry instead of being closed over).
     """
 
     __slots__ = ("line_addr", "enqueue_time", "retire_time", "words",
@@ -272,17 +271,58 @@ class WriteBuffer:
             raise UnsupportedStimulus("stores meet in the write buffer")
         return retires
 
-    def append_isolated_run(self, retired: int, entry: PendingWrite) -> None:
-        """Record a run of ``retired + 1`` stores checked by
-        :meth:`isolated_run_retires`: the first ``retired`` entries
-        drained during the run (the caller committed their words) and
-        ``entry``, the last, stays pending.  The buffer must be empty,
-        as it is after the run's last flush.  With tracing on, the run's
-        drains are one coalesced ``wb_drain`` event at ``entry``'s
-        issue time."""
+    def run_openers(self, lines, prev_line=None):
+        """Which stores of a run to the non-decreasing line addresses
+        ``lines`` (int64 array) find no entry for their line, so drain
+        through DRAM: with merging, each store whose line differs from
+        the previous store's (``prev_line`` before the first); without,
+        every store.  No entry pending before the run may hold one of
+        these lines, except ``prev_line``'s.  Pure."""
+        import numpy as np
+        opener = np.ones(len(lines), dtype=bool)
+        if self._merging and len(lines):
+            opener[0] = prev_line is None or int(lines[0]) != prev_line
+            np.not_equal(lines[1:], lines[:-1], out=opener[1:])
+        return opener
+
+    def run_schedule(self, starts, opener, drains, last_retire=None,
+                     ready: float = float("-inf")):
+        """``(new, retires)`` for a run of stores issued at ``starts``
+        (numpy arrays; ``opener`` from :meth:`run_openers`, ``drains``
+        their DRAM costs and zero elsewhere): which stores open an
+        entry — the rest merge — and those entries' retire times.
+        Raises :class:`~repro.vector.UnsupportedStimulus` when entries
+        would meet (a store could stall or queue behind another).
+
+        :func:`~repro.vector.kernels.store_run_schedule` has the closed
+        form.  ``last_retire`` defaults to this buffer's drain
+        schedule; ``ready`` is the latest retire time of entries
+        pending before the run.  Pure: nothing changes.
+        """
+        from repro.vector import UnsupportedStimulus
+        from repro.vector.kernels import store_run_schedule
+        schedule = store_run_schedule(
+            starts, opener, drains, self._capacity,
+            self._last_retire if last_retire is None else last_retire,
+            ready)
+        if schedule is None:
+            raise UnsupportedStimulus("stores meet in the write buffer")
+        return schedule
+
+    def append_isolated_run(self, retired: int, entry: PendingWrite,
+                            merged: int = 0) -> None:
+        """Record a run of ``retired + 1`` entries checked by
+        :meth:`isolated_run_retires` or :meth:`run_schedule`: the first
+        ``retired`` drained during the run (the caller committed their
+        words) and ``entry``, the last, stays pending; ``merged`` more
+        stores merged into the run's entries.  The buffer must be
+        empty, as it is after the run's last flush.  With tracing on,
+        the run's drains are one coalesced ``wb_drain`` event at
+        ``entry``'s issue time."""
         if self._pending:
             raise ValueError("isolated run appended to a busy buffer")
         self.drained_entries += retired
+        self.merged_writes += merged
         if _trace.TRACE_ENABLED and retired:
             _trace.emit("wb_drain", t=entry.enqueue_time, pe=self.owner_pe,
                         count=retired)

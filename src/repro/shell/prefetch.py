@@ -21,6 +21,7 @@ prefetches were issued, to guarantee the fetch has left the processor.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 
@@ -49,12 +50,20 @@ class PrefetchQueue:
     """Per-node binding prefetch FIFO."""
 
     def __init__(self, params: PrefetchParams, network: NetworkParams,
-                 my_pe: int, fabric):
+                 my_pe: int, fabric, remote_off_page_cycles: float):
         self.params = params
         self.network = network
         self.my_pe = my_pe
         self.fabric = fabric
-        self._peer_cache: dict[int, tuple] = {}
+        #: The remote memory controller's off-page penalty
+        #: (:attr:`RemoteAccessParams.remote_off_page_cycles
+        #: <repro.params.RemoteAccessParams.remote_off_page_cycles>`).
+        self.remote_off_page_cycles = remote_off_page_cycles
+        # The machine's shared target bundles, and the round-trip time
+        # to each processor beyond the one hop the calibrated round
+        # trip covers, bound on first use.
+        self._peers = None
+        self._extra = None
         self._fifo: deque[_InFlight] = deque()
         self._issued_since_pop = 0
         self.issues = 0
@@ -68,7 +77,6 @@ class PrefetchQueue:
                 "outstanding": len(self._fifo)}
 
     def reset(self) -> None:
-        self._peer_cache.clear()
         self._fifo.clear()
         self._issued_since_pop = 0
         self.issues = 0
@@ -95,34 +103,52 @@ class PrefetchQueue:
             )
         self.issues += 1
         self._issued_since_pop += 1
-        peer = self._peer_cache.get(pe)
+        peers = self._peers or self._bind()
+        if not 0 <= pe < len(peers):
+            self.fabric.node(pe)          # raises the fabric's error
+        peer = peers[pe]
         if peer is None:
-            target = self.fabric.node(pe)
-            peer = (
-                target.memsys.dram.access_with,
-                target.memsys.params.dram.same_bank_cycles,
-                target.memsys.params.dram.access_cycles,
-                2 * max(0, self.fabric.hops(self.my_pe, pe) - 1)
-                * self.network.hop_cycles,
-                target.memsys.memory.load,
-            )
-            self._peer_cache[pe] = peer
-        access_with, same_bank, base, extra_hop_cycles, load = peer
+            peer = peers[pe] = self.fabric.node(pe).peer_exports()
         local = offset & LOCAL_ADDR_MASK
-        mem = access_with(local, off_page_cycles=15.0,
-                          same_bank_cycles=same_bank)
+        mem = peer.access_with(local, self.remote_off_page_cycles,
+                               peer.same_bank)
         ready = (
             now
             + self.params.issue_cycles
             + self.params.round_trip_cycles
-            + (mem - base)                      # remote off-page penalty
-            + extra_hop_cycles
+            + (mem - peer.access_cycles)        # remote off-page penalty
+            + self._extra[pe]
         )
-        self._fifo.append(_InFlight(ready_time=ready, value=load(local)))
+        self._fifo.append(_InFlight(ready_time=ready,
+                                    value=peer.mem_load(local)))
         if _trace.TRACE_ENABLED:
             _trace.emit("prefetch_issue", t=now, pe=self.my_pe, target=pe,
                         offset=local, depth=len(self._fifo), ready=ready)
         return self.params.issue_cycles
+
+    def _bind(self) -> list:
+        hop = self.network.hop_cycles
+        self._extra = array("d", [2 * max(0, hops - 1) * hop for hops in
+                                  self.fabric.hops_row(self.my_pe)])
+        self._peers = self.fabric.peer_exports()
+        return self._peers
+
+    def extra_hop_cycles(self, pe: int) -> float:
+        """Round-trip network time to ``pe`` beyond the adjacent-node
+        hop the calibrated round trip already covers."""
+        if self._extra is None:
+            self._bind()
+        return self._extra[pe]
+
+    def commit_run(self, issues: int) -> None:
+        """Record a batch computed elsewhere (:mod:`repro.vector.bulk`)
+        that issued ``issues`` prefetches and popped each one, leaving
+        the FIFO empty as it found it."""
+        if self._fifo:
+            raise ValueError("prefetch run committed to a busy queue")
+        self.issues += issues
+        self.pops += issues
+        self._issued_since_pop = 0
 
     def needs_barrier_before_pop(self) -> bool:
         """True when fewer than four prefetches were issued since the

@@ -25,6 +25,8 @@ by :class:`repro.machine.machine.Machine`) providing ``hops(src, dst)``,
 
 from __future__ import annotations
 
+from array import array
+
 from repro.params import (
     LOCAL_ADDR_MASK,
     NetworkParams,
@@ -33,20 +35,20 @@ from repro.params import (
 )
 from repro.trace import tracer as _trace
 
-__all__ = ["AckRecord", "PeerLink", "RemoteAccessUnit",
+__all__ = ["AckRecord", "PeerExports", "RemoteAccessUnit",
            "make_inbound_on_retire"]
 
 
 def make_inbound_on_retire(node, rparams: RemoteAccessParams):
     """Build the write-retirement callback for stores *into* ``node``.
 
-    One closure per target serves every sender: the per-pair parts of
-    a retiring packet — the flight time and the sending unit whose
-    acknowledgement list the ack joins — travel on the entry itself as
-    ``entry.meta = (flight, source_unit)``.  Hot target-side state is
-    bound here once; the flat-geometry DRAM access and the
-    direct-mapped invalidate are inlined (falling back to the generic
-    methods for other configurations).
+    One closure per target serves every sender: the sending unit —
+    whose acknowledgement list the ack joins, and whose flight row gives
+    the packet's flight time — travels on the entry itself as
+    ``entry.meta``.  Hot target-side state is bound here once; the
+    flat-geometry DRAM access and the direct-mapped invalidate are
+    inlined (falling back to the generic methods for other
+    configurations).
 
     Every binding is stable across :meth:`Machine.reset`: the open-row
     list and the tag dict are cleared in place by their units' resets.
@@ -79,7 +81,8 @@ def make_inbound_on_retire(node, rparams: RemoteAccessParams):
     mask = LOCAL_ADDR_MASK
 
     def on_retire(entry):
-        flight, src = entry.meta
+        src = entry.meta
+        flight = src._flights[target_pe]
         # Target-interface serialization: one sender's stream never
         # queues (service rate = injection rate), but converging
         # senders do — incast congestion.
@@ -146,59 +149,50 @@ class AckRecord:
                 f"ack_time={self.ack_time}, nbytes={self.nbytes})")
 
 
-class PeerLink:
-    """Precomputed per-target bindings for the remote hot paths.
+class PeerExports:
+    """Target-side bindings for the remote hot paths, built once per
+    *target* node (:meth:`Node.peer_exports
+    <repro.machine.node.Node.peer_exports>`) and shared by every sender.
 
-    Everything here is immutable for the life of the machine (nodes,
-    units, and DRAM geometry are created once), so the link collapses
-    the per-access attribute-chain walks *and* the per-group DRAM
-    geometry recomputation that dominated ``put_scatter`` at 1024 PEs
-    — scatter groups are mostly one or two elements there, so set-up
-    cost per group is the bill.  ``open_row``/``dram`` expose the
-    target controller's *live* row state for inlined drain peeks.
+    Everything here is stable for the machine's life (nodes, units and
+    DRAM geometry are created once; ``open_row`` is the controller's
+    live row list, which its reset clears in place), so the bundle
+    collapses the attribute-chain walks and the DRAM geometry
+    derivation that ``put_scatter`` would otherwise repeat per group.
+    Nothing in it is per pair: a sender's flight time comes from the
+    machine's hop table (:meth:`RemoteAccessUnit.flight`) and the
+    sender rides on each retiring entry as ``entry.meta``.
     """
 
-    __slots__ = ("node", "flight", "access_with", "peek_access_with",
-                 "same_bank", "access_cycles", "mem_load", "mem_store",
-                 "l1_invalidate", "on_retire", "retire_meta", "dram",
-                 "geom_flat", "il_shift", "bank_mask", "bank_shift",
-                 "open_row")
+    __slots__ = ("node", "dram", "memory", "access_with",
+                 "peek_access_with", "same_bank", "access_cycles",
+                 "mem_load", "on_retire", "geom_flat", "il_shift",
+                 "bank_mask", "bank_shift", "open_row")
 
-    def __init__(self, unit: "RemoteAccessUnit", pe: int):
-        node = unit.fabric.node(pe)
-        # All target-side bindings come from one bundle built once per
-        # *target* node (Node.peer_exports) — at 1024 PEs there are
-        # ~200x more (source, target) pairs than targets, and the
-        # attribute-chain walks per pair dominated link construction.
-        # The only truly per-pair state is the flight time and the
-        # sender identity, carried to retirement as ``retire_meta``.
-        (ms, dram, access_with, peek_access_with, same_bank,
-         access_cycles, mem_load, mem_store, l1_invalidate,
-         record_arrival, geom_flat, il_shift, bank_mask, bank_shift,
-         open_row, l1_tags, l1_line_bytes, l1_num_sets,
-         inbound_on_retire) = node.peer_exports()
+    def __init__(self, node, rparams: RemoteAccessParams):
+        ms = node.memsys
+        dram = ms.dram
+        interleave = dram.params.bank_interleave_bytes
+        banks = dram.params.banks
         self.node = node
-        self.flight = unit.fabric.hops(unit.my_pe, pe) \
-            * unit.network.hop_cycles
-        self.access_with = access_with
-        self.peek_access_with = peek_access_with
-        self.same_bank = same_bank
-        self.access_cycles = access_cycles
-        self.mem_load = mem_load
-        self.mem_store = mem_store
-        self.l1_invalidate = l1_invalidate
-        self.on_retire = inbound_on_retire
-        self.retire_meta = (self.flight, unit)
         self.dram = dram
-        # Power-of-two controller geometry (see the matching derivation
-        # in the EM3D fast compute loop): when the interleave equals
+        self.memory = ms.memory
+        self.access_with = dram.access_with
+        self.peek_access_with = dram.peek_access_with
+        self.same_bank = ms.params.dram.same_bank_cycles
+        self.access_cycles = ms.params.dram.access_cycles
+        self.mem_load = ms.memory.load
+        self.on_retire = make_inbound_on_retire(node, rparams)
+        # Power-of-two controller geometry: when the interleave equals
         # the page size, row = block // banks exactly, and bank/row
         # extraction reduces to shifts and masks.
-        self.geom_flat = geom_flat
-        self.il_shift = il_shift
-        self.bank_mask = bank_mask
-        self.bank_shift = bank_shift
-        self.open_row = open_row
+        self.geom_flat = (interleave == dram.params.page_bytes
+                          and interleave & (interleave - 1) == 0
+                          and banks & (banks - 1) == 0)
+        self.il_shift = interleave.bit_length() - 1
+        self.bank_mask = banks - 1
+        self.bank_shift = banks.bit_length() - 1
+        self.open_row = dram._open_row
 
 
 class RemoteAccessUnit:
@@ -211,7 +205,11 @@ class RemoteAccessUnit:
         self.my_pe = my_pe
         self.memsys = memsys
         self.fabric = fabric
-        self._peer_cache: dict[int, PeerLink] = {}
+        # The machine's shared target bundles, and the one-way flight
+        # time to each processor (this processor's row of the hop
+        # table, in cycles), bound on first use (see peer).
+        self._peers = None
+        self._flights = None
         self._acks: list[AckRecord] = []
         #: Data snapshots for remotely-fetched cache lines, keyed by the
         #: full (annex-bearing) line address.  Snapshot staleness *is*
@@ -230,13 +228,6 @@ class RemoteAccessUnit:
                 "stores": self.stores}
 
     def reset(self) -> None:
-        # The peer-link cache deliberately survives reset: every
-        # binding a PeerLink holds (nodes, unit methods, the DRAM
-        # open-row list, the direct-mapped tag dict) is stable for the
-        # machine's life — the stateful containers are cleared *in
-        # place* by their own resets.  Rebuilding ~200 links per node
-        # between the warmup and measured runs was a measurable cost
-        # at 1024 processors.
         self._acks = []
         self._line_snapshots = {}
         self.reads = 0
@@ -247,15 +238,27 @@ class RemoteAccessUnit:
     # Helpers
     # ------------------------------------------------------------------
 
-    def _peer(self, pe: int) -> PeerLink:
-        """Cached :class:`PeerLink` for the target processor."""
-        link = self._peer_cache.get(pe)
-        if link is None:
-            link = self._peer_cache[pe] = PeerLink(self, pe)
-        return link
+    def peer(self, pe: int) -> PeerExports:
+        """The target-side bindings of processor ``pe`` (shared by every
+        sender).  Also binds this unit's flight row, which every remote
+        store's retirement reads (``entry.meta._flights``)."""
+        peers = self._peers
+        if peers is None:
+            peers = self._peers = self.fabric.peer_exports()
+            hop = self.network.hop_cycles
+            self._flights = array("d", [hops * hop for hops in
+                                        self.fabric.hops_row(self.my_pe)])
+        if not 0 <= pe < len(peers):
+            self.fabric.node(pe)          # raises the fabric's error
+        peer = peers[pe]
+        if peer is None:
+            peer = peers[pe] = self.fabric.node(pe).peer_exports()
+        return peer
 
-    def _flight(self, pe: int) -> float:
-        return self._peer(pe).flight
+    def flight(self, pe: int) -> float:
+        """One-way network time to processor ``pe``, in cycles."""
+        self.peer(pe)
+        return self._flights[pe]
 
     def _target_memory_cycles(self, pe: int, offset: int) -> float:
         """A remote memory-controller access at the target node.
@@ -263,10 +266,33 @@ class RemoteAccessUnit:
         The off-page penalty through the remote controller is larger
         than the local one (~15 vs ~9 cycles, section 4.2).
         """
-        peer = self._peer(pe)
+        peer = self.peer(pe)
         return peer.access_with(offset & LOCAL_ADDR_MASK,
                                 self.params.remote_off_page_cycles,
                                 peer.same_bank)
+
+    def commit_read_run(self, reads: int = 0, line_fills: int = 0,
+                        dropped=(), fetched=None,
+                        flush_all: bool = False) -> None:
+        """Record a batch of remote reads computed elsewhere
+        (:mod:`repro.vector.bulk`): add ``reads`` uncached reads and
+        ``line_fills`` cached line fills, and drop the snapshots the
+        batch's evictions and flushes dropped — the lines in
+        ``dropped``, every line in the inclusive ``fetched`` range
+        ``(first, last)`` (lines the batch fetched and flushed), or all
+        of them with ``flush_all``."""
+        self.reads += reads
+        self.cached_reads += line_fills
+        snapshots = self._line_snapshots
+        if flush_all:
+            snapshots.clear()
+            return
+        for line in dropped:
+            snapshots.pop(line, None)
+        if fetched is not None and snapshots:
+            first, last = fetched
+            for line in [k for k in snapshots if first <= k <= last]:
+                del snapshots[line]
 
     # ------------------------------------------------------------------
     # Reads
@@ -275,11 +301,11 @@ class RemoteAccessUnit:
     def uncached_read(self, now: float, pe: int, offset: int):
         """Fetch one word from a remote node; returns (cycles, value)."""
         self.reads += 1
-        peer = self._peer(pe)
+        peer = self.peer(pe)
         local = offset & LOCAL_ADDR_MASK
         cycles = (
             self.params.read_overhead_cycles
-            + 2 * peer.flight
+            + 2 * self._flights[pe]
             + peer.access_with(local, self.params.remote_off_page_cycles,
                                peer.same_bank)
         )
@@ -303,21 +329,21 @@ class RemoteAccessUnit:
             if snapshot is not None and word in snapshot:
                 return self.memsys.params.l1.hit_cycles, snapshot[word]
             # Locally-owned or snapshot-less line: fall back to memory.
-            return self.memsys.params.l1.hit_cycles, self.fabric.node(
-                pe).memsys.memory.load(offset & LOCAL_ADDR_MASK)
+            return self.memsys.params.l1.hit_cycles, self.peer(
+                pe).mem_load(offset & LOCAL_ADDR_MASK)
 
         self.cached_reads += 1
         cycles = (
             self.params.read_overhead_cycles
             + self.params.cached_line_extra_cycles
-            + 2 * self._flight(pe)
+            + 2 * self.flight(pe)
             + self._target_memory_cycles(pe, offset)
         )
         if _trace.TRACE_ENABLED:
             _trace.emit("remote_read_cached", t=now, pe=self.my_pe,
                         target=pe, offset=offset & LOCAL_ADDR_MASK,
                         cycles=cycles)
-        target_mem = self.fabric.node(pe).memsys.memory
+        target_mem = self.peer(pe).memory
         line_full = l1.line_addr(full_addr)
         line_local = line_full & LOCAL_ADDR_MASK
         snapshot = {
@@ -359,7 +385,7 @@ class RemoteAccessUnit:
         # The drain rate feels the target memory controller: a store
         # stream that misses the remote DRAM page on every line (16 KB
         # strides) backs the pipeline up — Figure 7's inflection.
-        peer = self._peer(pe)
+        peer = self.peer(pe)
         drain = self.params.store_drain_cycles + (
             peer.peek_access_with(
                 offset & LOCAL_ADDR_MASK,
@@ -369,8 +395,7 @@ class RemoteAccessUnit:
         )
         cycles = self.memsys.write_buffer.push(
             now, full_addr, value, drain,
-            apply_words=False, on_retire=peer.on_retire,
-            meta=peer.retire_meta,
+            apply_words=False, on_retire=peer.on_retire, meta=self,
         )
         if _trace.TRACE_ENABLED:
             _trace.emit("remote_store", t=now, pe=self.my_pe, target=pe,

@@ -18,15 +18,21 @@ crossovers, exactly as the Split-C library of section 6.3 does:
 All transfers are word-granularity and contiguous (the compiler lowers
 structure assignment to these routines); the BLT path additionally
 supports strided gathers, tested separately.
+
+The word loops below are the reference model.  Uncached, prefetch and
+cached reads of :data:`repro.vector.bulk.MIN_WORDS` words or more run
+as whole-transfer array arithmetic (:mod:`repro.vector.bulk`) when the
+numpy tier may, with identical results.
 """
 
 from __future__ import annotations
 
-from repro.node.write_buffer import PendingWrite
+from repro import vector as _vector
 from repro.params import LOCAL_ADDR_MASK, WORD_BYTES
 from repro.shell.annex import ReadMode
 from repro.simkernel import fastpath
 from repro.splitc.gptr import GlobalPtr
+from repro.trace import tracer as _trace
 
 __all__ = [
     "bulk_gather",
@@ -63,14 +69,34 @@ def _local_copy(sc, dst_offset: int, src_offset: int, nbytes: int) -> None:
 # Bulk read mechanisms (Figure 8, left)
 # ----------------------------------------------------------------------
 
+def _batched(kernel: str, ctx, pe: int, src_addr: int, dst_offset: int,
+             nwords: int, *args) -> bool:
+    """Run one whole transfer of at least
+    :data:`repro.vector.bulk.MIN_WORDS` words on the numpy kernel
+    ``repro.vector.bulk.<kernel>`` when the fast paths
+    (:data:`repro.simkernel.fastpath.ENABLED`) and the vector tier are
+    on and no tracer is attached; False (nothing changed) otherwise,
+    or when the kernel declines the transfer."""
+    if not fastpath.ENABLED or _trace.TRACE_ENABLED or not _vector.enabled():
+        return False
+    from repro.vector import bulk as _vector_bulk
+    if nwords < _vector_bulk.MIN_WORDS:
+        return False
+    try:
+        getattr(_vector_bulk, kernel)(ctx, pe, src_addr, dst_offset, nwords,
+                                      *args)
+    except _vector.UnsupportedStimulus:
+        return False
+    return True
+
+
 def bulk_read_uncached(sc, dst_offset: int, src: GlobalPtr,
                        nbytes: int) -> None:
     """One blocking uncached read per word (~13 MB/s)."""
     sc._setup_annex(src.pe)
     nwords = _words(nbytes)
     ctx = sc.ctx
-    if fastpath.ENABLED and ctx.node.memsys._fast_read:
-        _bulk_read_uncached_fast(ctx, src.pe, src.addr, dst_offset, nwords)
+    if _batched("read_uncached", ctx, src.pe, src.addr, dst_offset, nwords):
         return
     for i in range(nwords):
         cycles, value = ctx.node.remote.uncached_read(
@@ -79,117 +105,37 @@ def bulk_read_uncached(sc, dst_offset: int, src: GlobalPtr,
         ctx.local_write(dst_offset + i * WORD_BYTES, value)
 
 
-def _bulk_read_uncached_fast(ctx, pe: int, src_addr: int, dst_offset: int,
-                             nwords: int) -> None:
-    """The uncached-read loop with the remote unit and the local store
-    pipeline inlined — the same target-DRAM transitions, clock
-    additions, and write-buffer schedule in the same order as the
-    reference loop."""
-    node = ctx.node
-    unit = node.remote
-    peer = unit._peer(pe)
-    t_dram = peer.dram
-    t_il = t_dram._interleave
-    t_banks = t_dram._banks
-    t_page = t_dram._page_bytes
-    t_access = t_dram._access_cycles
-    t_open = t_dram._open_row
-    t_get = peer.node.memsys.memory.word_get
-    r_off_page = unit.params.remote_off_page_cycles
-    t_same_bank = peer.same_bank
-    # uncached_read charges ``overhead + 2*flight + mem`` left to
-    # right, so the first two terms fold into one prefix constant.
-    base = unit.params.read_overhead_cycles + 2 * peer.flight
-    memsys = node.memsys
-    wb = memsys.write_buffer
-    pending = wb._pending            # flush_retired trims it in place
-    wb_flush = wb.flush_retired
-    wb_push = wb.push
-    issue_cycles = wb._issue_cycles
-    merging = wb._merging
-    capacity = wb._capacity
-    wline = wb.line_bytes
-    dram_access = memsys.dram.access
-    mask = LOCAL_ADDR_MASK
-    wbytes = WORD_BYTES
-    loop_it = node.alpha.loop_iteration()
-    clock = ctx.clock
-    for i in range(nwords):
-        # --- remote.uncached_read, flattened (access_with inlined on
-        # the target DRAM) ---
-        local = (src_addr + i * wbytes) & mask
-        unit.reads += 1
-        block = local // t_il
-        bank = block % t_banks
-        row = ((block // t_banks) * t_il + local % t_il) // t_page
-        cyc = t_access
-        t_dram.accesses += 1
-        if t_open[bank] != row:
-            t_dram.row_misses += 1
-            cyc += r_off_page
-            if bank == t_dram._last_bank:
-                t_dram.same_bank_conflicts += 1
-                cyc += t_same_bank
-            t_open[bank] = row
-        t_dram._last_bank = bank
-        value = t_get(local - (local % wbytes), 0)
-        clock += (base + cyc) + loop_it
-        # --- local_write: memsys.write_cycles, flattened ---
-        a = dst_offset + i * wbytes
-        line = a - (a % wline)
-        matched = False
-        if merging:
-            for entry in pending:
-                if entry.line_addr == line:
-                    matched = True
-                    break
-        if matched:
-            clock += wb_push(clock, a, value, 0.0)
-        else:
-            drain = dram_access(line & mask)
-            if pending and pending[0].retire_time <= clock:
-                wb_flush(clock)
-            stall = 0.0
-            if len(pending) >= capacity:
-                stall = pending[0].retire_time - clock
-                if stall < 0.0:
-                    stall = 0.0
-                wb_flush(clock + stall)
-            start = clock + stall
-            retire = wb._last_retire
-            if start > retire:
-                retire = start
-            retire += drain / capacity
-            wb._last_retire = retire
-            pending.append(PendingWrite(line, start, retire,
-                                        {a - (a % wbytes): value}))
-            clock += issue_cycles + stall
-    ctx.clock = clock
-
-
 def bulk_read_cached(sc, dst_offset: int, src: GlobalPtr,
                      nbytes: int) -> None:
     """Cached remote reads: a line per fetch, flushed for coherence.
 
-    Per-line flushes are batched into one whole-cache flush for
-    transfers at or above the plan's batch threshold (the 8 KB
-    inflection of section 6.2, footnote 3).
+    Each line is flushed after the last word the transfer reads from
+    it; transfers at or above the plan's batch threshold batch those
+    flushes into one whole-cache flush (the 8 KB inflection of section
+    6.2, footnote 3).
     """
     index = sc._setup_annex(src.pe, ReadMode.CACHED)
     batch = nbytes >= sc.plan.batch_flush_threshold
-    line_words = sc.ctx.node.params.node.l1.line_bytes // WORD_BYTES
-    unit = sc.ctx.node.remote
-    for i in range(_words(nbytes)):
+    nwords = _words(nbytes)
+    ctx = sc.ctx
+    if _batched("read_cached", ctx, src.pe, src.addr, dst_offset, nwords,
+                index, batch):
+        return
+    unit = ctx.node.remote
+    line_bytes = ctx.node.params.node.l1.line_bytes
+    for i in range(nwords):
         offset = src.addr + i * WORD_BYTES
         full = sc._full_addr(index, offset)
-        cycles, value = unit.cached_read(sc.ctx.clock, src.pe, offset, full)
-        sc.ctx.charge(cycles + sc.ctx.node.alpha.loop_iteration())
-        sc.ctx.local_write(dst_offset + i * WORD_BYTES, value)
-        line_done = (i + 1) % line_words == 0 or i + 1 == _words(nbytes)
+        cycles, value = unit.cached_read(ctx.clock, src.pe, offset, full)
+        ctx.charge(cycles + ctx.node.alpha.loop_iteration())
+        ctx.local_write(dst_offset + i * WORD_BYTES, value)
+        line_done = (i + 1 == nwords
+                     or (full + WORD_BYTES) // line_bytes
+                     != full // line_bytes)
         if line_done and not batch:
-            sc.ctx.charge(unit.invalidate_cached_line(full))
+            ctx.charge(unit.invalidate_cached_line(full))
     if batch:
-        sc.ctx.charge(unit.flush_all_cached())
+        ctx.charge(unit.flush_all_cached())
 
 
 def bulk_read_prefetch(sc, dst_offset: int, src: GlobalPtr,
@@ -200,8 +146,11 @@ def bulk_read_prefetch(sc, dst_offset: int, src: GlobalPtr,
     for the next issue, so round trips stay overlapped throughout.
     """
     sc._setup_annex(src.pe)
-    pf = sc.ctx.node.prefetch
     nwords = _words(nbytes)
+    if _batched("read_prefetch", sc.ctx, src.pe, src.addr, dst_offset,
+                nwords):
+        return
+    pf = sc.ctx.node.prefetch
     issued = 0
     popped = 0
     window = min(pf.depth - pf.outstanding(), nwords)

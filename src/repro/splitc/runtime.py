@@ -279,10 +279,10 @@ class SplitC:
 
         With the fast paths (:data:`repro.simkernel.fastpath.ENABLED`)
         and the cohort tier on and no tracing attached, the loop body
-        is flattened (:meth:`_put_scatter_flat`): the phase-invariant bindings (write buffer,
-        Annex, params) are hoisted once per *phase*, the per-target
-        bindings (peer cache, retirement callback, DRAM geometry) once
-        per *group*, the Annex set-up runs natively for the first two
+        is flattened (:meth:`_put_scatter_flat`): the phase-invariant
+        bindings (write buffer, Annex, params) are hoisted once per
+        *phase*, the per-target bindings (the target's shared exports:
+        retirement callback, DRAM geometry) once per *group*, the Annex set-up runs natively for the first two
         elements of each group and its (provably stationary) steady
         state is applied arithmetically for the rest, the target DRAM
         drain peek is inlined when the geometry is the flat T3D shape,
@@ -313,7 +313,7 @@ class SplitC:
         annex = node.annex
         setup = policy.setup
         remote = node.remote
-        get_peer = remote._peer
+        get_peer = remote.peer
         memsys = node.memsys
         wb = memsys.write_buffer
         memsys_read = ctx._memsys_read
@@ -392,17 +392,17 @@ class SplitC:
                     put_to(pe, dst, local_read(src))
                 clock = ctx.clock
                 continue
-            # Per-target bindings: the PeerLink carries the target DRAM
-            # geometry precomputed (scatter groups are tiny at high
-            # processor counts, so per-group set-up is the bill).  When
-            # the geometry is the flat T3D shape (interleave == page
-            # size, both powers of two) the drain peek collapses to
-            # shifts; otherwise fall back to the peek method.
+            # Per-target bindings: the target's shared PeerExports
+            # carries its DRAM geometry precomputed (scatter groups are
+            # tiny at high processor counts, so per-group set-up is the
+            # bill).  When the geometry is the flat T3D shape
+            # (interleave == page size, both powers of two) the drain
+            # peek collapses to shifts; otherwise fall back to the peek
+            # method.
             peer = get_peer(pe)
             same_bank = peer.same_bank
             access_cycles = peer.access_cycles
             on_retire = peer.on_retire
-            retire_meta = peer.retire_meta
             tdram = peer.dram
             geom_flat = peer.geom_flat
             il_shift = peer.il_shift
@@ -554,7 +554,7 @@ class SplitC:
                     pending.append(
                         PendingWrite(line, start, retire,
                                      {word: value}, False, on_retire,
-                                     retire_meta))
+                                     remote))
                     if len(pending) == 1 and settle_queue is not None:
                         settle_queue.append(wb)
                     store_cycles += stall

@@ -10,6 +10,8 @@ time:
 :func:`dram_access_stream`        :meth:`repro.node.dram.Dram.access_with`
 :func:`isolated_store_retires`    :meth:`repro.node.write_buffer.WriteBuffer.push_new`
                                   (stores that never meet in the buffer)
+:func:`store_run_schedule`        :meth:`repro.node.memsys.MemorySystem.write_cycles`
+                                  (a run that may merge, entries isolated)
 :func:`tlb_cost_stream`           :meth:`repro.node.tlb.Tlb.translate`
                                   (fully-associative LRU)
 ================================  ===================================
@@ -51,6 +53,7 @@ __all__ = [
     "dram_cost_stream",
     "isolated_store_retires",
     "sawtooth_addresses",
+    "store_run_schedule",
     "tlb_cost_stream",
     "validate_point",
 ]
@@ -240,6 +243,50 @@ def isolated_store_retires(starts: np.ndarray, drains: np.ndarray,
     if ready > starts[0] or bool((retires[:-1] > starts[1:]).any()):
         return None
     return retires
+
+
+def store_run_schedule(starts: np.ndarray, opener: np.ndarray,
+                       drains: np.ndarray, capacity: int,
+                       last_retire: float, ready: float):
+    """Write-buffer schedule of a run of stores that may merge:
+    ``(new, retires)`` — which stores open an entry, and the retire
+    times of those entries — or ``None`` when entries would meet.
+
+    Twin of :meth:`MemorySystem.write_cycles
+    <repro.node.memsys.MemorySystem.write_cycles>` for stores issued at
+    ``starts`` to lines in non-decreasing order, where ``opener`` marks
+    the stores that find no entry for their line (they drain through
+    DRAM at cost ``drains``; every other store has drain ``0``).  A
+    non-opening store finds its line's latest entry: it merges while
+    that entry is still pending (retire time after the store), and
+    opens a fresh zero-drain entry once the entry has retired.  While
+    every entry retires before the next *opening* store issues (the
+    :func:`isolated_store_retires` condition over the new entries), no
+    store stalls and each line's first entry retires at ``start +
+    drain / capacity`` — which fixes every merge decision.  Merges are
+    exact, never a reason to decline; the condition is checked on the
+    computed times, so ``None`` never hides a wrong answer.
+    ``last_retire`` is the buffer's drain schedule before the run
+    (the retire time of the entry a leading non-opener continues);
+    ``ready`` the latest retire time of entries pending before it.
+    """
+    n = len(starts)
+    retire_if_new = starts + drains / capacity
+    if opener.any():
+        f = int(opener.argmax())
+        retire_if_new[f] = (max(float(starts[f]), last_retire)
+                            + drains[f] / capacity)
+    owner = np.maximum.accumulate(np.where(opener, np.arange(n), -1))
+    owner_retire = np.where(owner >= 0, retire_if_new[owner.clip(0)],
+                            last_retire)
+    new = opener | (owner_retire <= starts)
+    if not new.any():
+        return new, np.zeros(0, dtype=np.float64)
+    retires = isolated_store_retires(starts[new], drains[new], capacity,
+                                     last_retire, ready)
+    if retires is None:
+        return None
+    return new, retires
 
 
 def tlb_cost_stream(addrs_one_pass: np.ndarray, npasses: int, *,

@@ -103,3 +103,19 @@ def test_extra_hops_extend_round_trip():
     t = pf.issue(0.0, 2, 8)              # two hops instead of one
     cycles, _ = pf.pop(t)
     assert t + cycles == pytest.approx(4.0 + 80.0 + 2 * 2.5 + 23.0)
+
+
+def test_remote_off_page_penalty_comes_from_params():
+    """Prefetches pay the configured remote off-page penalty, as every
+    other remote path does, not a built-in 15 cycles."""
+    from repro.params import with_overrides
+
+    params = t3d_machine_params((2, 1, 1))
+    remote = with_overrides(params.shell.remote, remote_off_page_cycles=40.0)
+    machine = Machine(with_overrides(
+        params, shell=with_overrides(params.shell, remote=remote)))
+    warm(machine, 0)
+    pf = machine.node(0).prefetch
+    t = pf.issue(0.0, 1, 16 * 1024)      # new DRAM row at the target
+    cycles, _ = pf.pop(t)
+    assert t + cycles == pytest.approx(4.0 + 80.0 + 40.0 + 23.0)

@@ -224,3 +224,30 @@ def test_partial_word_rejected(machine):
     sc = make_sc(machine)
     with pytest.raises(ValueError):
         sc.bulk_read(0x20000, GlobalPtr(1, 0), 12)
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["batch", "reference"])
+@pytest.mark.parametrize("nbytes", [64, 512])
+@pytest.mark.parametrize("src_offset", [0, 8, 16, 24])
+def test_cached_read_fetches_each_line_once(monkeypatch, fast, nbytes,
+                                            src_offset):
+    """The per-line flush follows the source's lines, not the loop
+    index: an unaligned 64-byte transfer touching three lines fetches
+    three, not four (section 6.2).  512 bytes is long enough for the
+    batch path."""
+    from repro.simkernel import fastpath
+
+    monkeypatch.setattr(fastpath, "ENABLED", fast)
+    machine = Machine(t3d_machine_params((2, 1, 1)))
+    nwords = nbytes // 8
+    fill_remote(machine, 0, nwords + 4)
+    sc = make_sc(machine)
+    bulk.bulk_read_cached(sc, 0x80000, GlobalPtr(1, src_offset), nbytes)
+    line = machine.node(0).params.node.l1.line_bytes
+    lines = len({a // line
+                 for a in range(src_offset, src_offset + nbytes, 8)})
+    assert sc.ctx.node.remote.cached_reads == lines
+    assert sc.ctx.node.memsys.l1.misses == lines
+    sc.ctx.memory_barrier()
+    assert (sc.ctx.node.memsys.memory.load_range(0x80000, nwords)
+            == [1000 + src_offset // 8 + i for i in range(nwords)])

@@ -6,8 +6,9 @@ to the reference per-access implementation:
 * probe harness: ``sweep_fn=None`` / ``memo_key=None`` force the
   per-access loop and disable the point memo;
 * ``repro.simkernel.fastpath.ENABLED`` — the one switch over the
-  inlined bulk word loops, the range-op BLT data movement, the flat
-  ``put_scatter``, the EM3D ghost fill and the EM3D compute phase.
+  inlined bulk store stream, the numpy bulk reads, the range-op BLT
+  data movement, the flat ``put_scatter``, the EM3D ghost fill and the
+  EM3D compute phase.
 
 These tests run the same experiment down both paths and assert the
 results are *identical* — same floats, same counters, same memory
@@ -109,23 +110,46 @@ def _fresh_sc():
 
 
 def _machine_fingerprint(machine, sc):
-    """Every observable the word loops touch: clocks, counters, and the
-    raw memory words of both nodes."""
+    """Every observable the word loops touch: clocks, counters, unit
+    state (L1 tags, DRAM open rows and last bank, pending write-buffer
+    entries, the prefetch FIFO, cached-line snapshots, outstanding
+    acknowledgements) and the raw memory words, with their types, of
+    every node."""
     out = [sc.ctx.clock]
     for pe in range(machine.num_nodes):
         node = machine.node(pe)
         ms = node.memsys
+        wb = ms.write_buffer
+        pf = node.prefetch
         out.append((pe, ms.l1.hits, ms.l1.misses,
+                    sorted(ms.l1._tags.items()),
                     ms.dram.accesses, ms.dram.row_misses,
                     ms.dram.same_bank_conflicts,
-                    ms.write_buffer.merged_writes,
-                    ms.write_buffer.drained_entries,
-                    node.remote.reads, node.remote.stores,
-                    sorted(ms.memory.items())))
+                    list(ms.dram._open_row), ms.dram._last_bank,
+                    wb.merged_writes, wb.drained_entries, wb._last_retire,
+                    [(e.line_addr, e.enqueue_time, e.retire_time,
+                      sorted(e.words.items())) for e in wb.pending_entries],
+                    node.remote.reads, node.remote.cached_reads,
+                    node.remote.stores,
+                    sorted((line, sorted(words.items())) for line, words
+                           in node.remote._line_snapshots.items()),
+                    [(a.drain_time, a.ack_time, a.nbytes)
+                     for a in node.remote._acks],
+                    pf.issues, pf.pops, pf._issued_since_pop,
+                    [(f.ready_time, f.value) for f in pf._fifo],
+                    sorted((addr, type(value).__name__, value)
+                           for addr, value in ms.memory.items())))
     return out
 
 
+#: A 16 KB DRAM page boundary inside the destination.
+_PAGE_CROSSING_DST = 0x4000 - 256
+
+
 @pytest.mark.parametrize("op", ["write_stores", "read_uncached",
+                                "read_cached", "read_prefetch",
+                                "read_cached_page", "read_prefetch_page",
+                                "read_cached_flush_all",
                                 "local_copy", "put"])
 def test_bulk_word_loops_state_identical(op):
     def drive(sc):
@@ -133,6 +157,19 @@ def test_bulk_word_loops_state_identical(op):
             bulk.bulk_write_stores(sc, GlobalPtr(1, 0x6000), 0x0, 512)
         elif op == "read_uncached":
             bulk.bulk_read_uncached(sc, 0x6000, GlobalPtr(1, 0x0), 512)
+        elif op == "read_cached":
+            bulk.bulk_read_cached(sc, 0x6000, GlobalPtr(1, 0x0), 512)
+        elif op == "read_prefetch":
+            bulk.bulk_read_prefetch(sc, 0x6000, GlobalPtr(1, 0x0), 512)
+        elif op == "read_cached_page":
+            bulk.bulk_read_cached(sc, _PAGE_CROSSING_DST,
+                                  GlobalPtr(1, 0x0), 512)
+        elif op == "read_prefetch_page":
+            bulk.bulk_read_prefetch(sc, _PAGE_CROSSING_DST,
+                                    GlobalPtr(1, 0x0), 512)
+        elif op == "read_cached_flush_all":
+            bulk.bulk_read_cached(sc, _PAGE_CROSSING_DST,
+                                  GlobalPtr(1, 0x8), 9 * 1024)
         elif op == "local_copy":
             bulk._local_copy(sc, 0x6000, 0x0, 512)
         else:
@@ -141,19 +178,110 @@ def test_bulk_word_loops_state_identical(op):
         sc.ctx.memory_barrier()
         sc.ctx.clock = sc.ctx.node.remote.wait_for_acks(sc.ctx.clock)
 
-    m_fast, sc_fast = _fresh_sc()
-    for i in range(64):
-        sc_fast.ctx.node.memsys.memory.store(i * WORD_BYTES, float(i))
+    def seeded():
+        machine, sc = _fresh_sc()
+        for pe in range(machine.num_nodes):
+            memory = machine.node(pe).memsys.memory
+            for i in range(64):
+                memory.store(i * WORD_BYTES, float(i) if i % 2 else i)
+        return machine, sc
+
+    m_fast, sc_fast = seeded()
     drive(sc_fast)
 
     with _reference_paths():
-        m_ref, sc_ref = _fresh_sc()
-        for i in range(64):
-            sc_ref.ctx.node.memsys.memory.store(i * WORD_BYTES, float(i))
+        m_ref, sc_ref = seeded()
         drive(sc_ref)
 
     assert (_machine_fingerprint(m_fast, sc_fast)
             == _machine_fingerprint(m_ref, sc_ref))
+
+
+@pytest.mark.parametrize("mechanism", ["uncached", "cached", "prefetch"])
+def test_bulk_read_continues_the_previous_line(monkeypatch, mechanism):
+    """A transfer starting on the line where the previous one ended
+    (its last store still in the write buffer, as EM3D's back-to-back
+    ``bulk_get``s leave it) runs on the batch path and matches the
+    reference loop."""
+    pytest.importorskip("numpy")
+    import repro.vector.bulk as vector_bulk
+
+    served = []
+    real = getattr(vector_bulk, "read_" + mechanism)
+    monkeypatch.setattr(vector_bulk, "read_" + mechanism,
+                        lambda *a: served.append(real(*a)))
+    read = getattr(bulk, "bulk_read_" + mechanism)
+
+    def drive(sc):
+        read(sc, 0x6000, GlobalPtr(1, 0x0), 45 * WORD_BYTES)
+        read(sc, 0x6000 + 45 * WORD_BYTES, GlobalPtr(1, 0x400),
+             40 * WORD_BYTES)
+
+    m_fast, sc_fast = _fresh_sc()
+    drive(sc_fast)
+    assert len(served) == 2
+    with _reference_paths():
+        m_ref, sc_ref = _fresh_sc()
+        drive(sc_ref)
+    assert (_machine_fingerprint(m_fast, sc_fast)
+            == _machine_fingerprint(m_ref, sc_ref))
+
+
+#: Figure 8's bulk-read sizes, 8 B to 512 KB.
+FIG8_READ_SIZES = [8 * 4 ** k for k in range(9)]
+
+
+def test_batch_path_serves_every_fig8_read(monkeypatch):
+    """Every Figure 8 read of at least ``MIN_WORDS`` words runs on the
+    numpy kernels with no decline (the shorter ones run the reference
+    loop, which is faster there), and the kernels also accept the
+    shorter sizes, matching the reference loop."""
+    pytest.importorskip("numpy")
+    import repro.vector.bulk as vector_bulk
+    from repro.shell.annex import ReadMode
+    from repro.vector import UnsupportedStimulus
+
+    served = []
+    for name in ("read_uncached", "read_cached", "read_prefetch"):
+        real = getattr(vector_bulk, name)
+
+        def spy(ctx, pe, src, dst, nwords, *rest, _real=real, _name=name):
+            try:
+                _real(ctx, pe, src, dst, nwords, *rest)
+            except UnsupportedStimulus:
+                served.append((_name, nwords, "declined"))
+                raise
+            served.append((_name, nwords, "served"))
+
+        monkeypatch.setattr(vector_bulk, name, spy)
+    probes.bulk_read_bandwidth_probe(
+        sizes=FIG8_READ_SIZES,
+        mechanisms={m: probes.READ_MECHANISMS[m]
+                    for m in ("uncached", "cached", "prefetch")})
+    big = [n // WORD_BYTES for n in FIG8_READ_SIZES
+           if n // WORD_BYTES >= vector_bulk.MIN_WORDS]
+    assert sorted(served) == sorted(
+        (name, nwords, "served") for name in
+        ("read_uncached", "read_cached", "read_prefetch") for nwords in big)
+
+    for nbytes in FIG8_READ_SIZES:
+        nwords = nbytes // WORD_BYTES
+        if nwords >= vector_bulk.MIN_WORDS:
+            continue
+        for mechanism in ("uncached", "cached", "prefetch"):
+            machine, sc = _fresh_sc()
+            mode = (ReadMode.CACHED if mechanism == "cached"
+                    else ReadMode.UNCACHED)
+            index = sc._setup_annex(1, mode)
+            extra = (index, False) if mechanism == "cached" else ()
+            getattr(vector_bulk, "read_" + mechanism)(
+                sc.ctx, 1, 0, 0x400000, nwords, *extra)
+            with _reference_paths():
+                m_ref, sc_ref = _fresh_sc()
+                getattr(bulk, "bulk_read_" + mechanism)(
+                    sc_ref, 0x400000, GlobalPtr(1, 0), nbytes)
+            assert (_machine_fingerprint(machine, sc)
+                    == _machine_fingerprint(m_ref, sc_ref))
 
 
 @pytest.mark.parametrize("stride", [None, WORD_BYTES, 64])
@@ -225,10 +353,14 @@ def _spy_fast_paths(monkeypatch) -> dict:
     import repro.vector.em3d as vector_em3d
     from repro.apps.em3d import kernels
 
+    import repro.vector.bulk as vector_bulk
+
     calls = {}
     targets = [
         (bulk, "_store_stream_fast"),
-        (bulk, "_bulk_read_uncached_fast"),
+        (vector_bulk, "read_uncached"),
+        (vector_bulk, "read_cached"),
+        (vector_bulk, "read_prefetch"),
         (SplitC, "_put_scatter_flat"),
         (kernels, "_ghost_reads_fast"),
         (vector_em3d, "compute_phase"),

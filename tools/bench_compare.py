@@ -28,10 +28,12 @@ the perf gate behind ``make bench-compare``.
   absolute delta a point must also exceed before it counts as a
   regression.
 * ``--tiers`` additionally cross-checks the compute tiers: a small
-  probe subset and the EM3D compute phase (the six versions the numpy
-  kernel claims, at 4 PEs) are run on the vectorized tier and on the
-  fast/reference tiers (``REPRO_VECTOR=0``), and any numeric mismatch
-  counts as a regression.  A perf gate that compares tiered timings is only
+  probe subset, the EM3D compute phase (the six versions the numpy
+  kernel claims, at 4 PEs) and Figure 8's uncached, prefetch and
+  cached bulk reads (every size from 8 B to 512 KB, with clocks, unit
+  state and memory words compared) are run on the vectorized tier and
+  on the reference loop (``REPRO_VECTOR=0``), and any mismatch counts
+  as a regression.  A perf gate that compares tiered timings is only
   meaningful while the tiers agree bit for bit.
 
 Usage: bench_compare.py BASE_JSON NEW_JSON
@@ -111,10 +113,17 @@ def compare_scaling(base: dict, new: dict, threshold: float,
 VECTOR_EM3D_VERSIONS = ("bundle", "unroll", "get", "put", "bulk", "msg")
 
 
+#: Figure 8's bulk-read sizes (8 B to 512 KB) and the mechanisms the
+#: vectorized tier computes whole (repro.vector.bulk).
+BULK_READ_SIZES = tuple(8 * 4 ** k for k in range(9))
+VECTOR_BULK_READS = ("uncached", "prefetch", "cached")
+
+
 def check_tiers() -> tuple[list[str], list[str]]:
     """Cross-check the vectorized tier against the reference loop on a
-    small probe subset and the EM3D compute phase (``REPRO_VECTOR=0``
-    runs the reference loop for both); mismatches are regressions."""
+    small probe subset, the EM3D compute phase and Figure 8's bulk
+    reads (``REPRO_VECTOR=0`` runs the reference loop for all three);
+    mismatches are regressions."""
     import os
 
     from repro import vector
@@ -173,6 +182,22 @@ def check_tiers() -> tuple[list[str], list[str]]:
                 regressions.append(
                     f"tier mismatch em3d {version}: the numpy compute "
                     "phase differs from the reference loop at 4 PEs")
+        for mechanism in VECTOR_BULK_READS:
+            os.environ["REPRO_VECTOR"] = "1"
+            vec = [_bulk_tier_run(mechanism, n) for n in BULK_READ_SIZES]
+            os.environ["REPRO_VECTOR"] = "0"
+            ref = [_bulk_tier_run(mechanism, n) for n in BULK_READ_SIZES]
+            if vec == ref:
+                lines.append(f"  tier ok   bulk read {mechanism}: "
+                             f"{len(vec)} sizes, clocks, unit state and "
+                             "memory bit-identical to the reference loop")
+            else:
+                bad = [n for n, a, b in zip(BULK_READ_SIZES, vec, ref)
+                       if a != b]
+                regressions.append(
+                    f"tier mismatch bulk read {mechanism}: sizes {bad} "
+                    "differ between the vectorized tier and the "
+                    "reference loop")
     finally:
         if saved is None:
             os.environ.pop("REPRO_VECTOR", None)
@@ -196,6 +221,34 @@ def _em3d_tier_run(version: str):
                 for pe in range(machine.num_nodes)]
     return (result.us_per_edge, result.e_values, result.h_values,
             counters)
+
+
+def _bulk_tier_run(mechanism: str, nbytes: int):
+    """One Figure 8 bulk read on a fresh machine under the current
+    ``REPRO_VECTOR``: the clock, and every unit's counters and state
+    and memory word (with its type) on both nodes."""
+    from repro.machine.machine import Machine
+    from repro.params import t3d_machine_params
+    from repro.splitc import bulk
+    from repro.splitc.gptr import GlobalPtr
+    from repro.splitc.runtime import SplitC
+
+    machine = Machine(t3d_machine_params((2, 1, 1)))
+    sc = SplitC(machine.make_contexts()[0])
+    getattr(bulk, "bulk_read_" + mechanism)(sc, 0x400000, GlobalPtr(1, 0),
+                                            nbytes)
+    state = [sc.ctx.clock]
+    for node in machine.nodes:
+        ms = node.memsys
+        state.append((
+            ms.counters(), node.remote.counters(), node.prefetch.counters(),
+            ms.l1.tag_array().tolist(), ms.dram.row_state()[0].tolist(),
+            ms.dram.row_state()[1],
+            [(e.line_addr, e.enqueue_time, e.retire_time,
+              sorted(e.words.items()))
+             for e in ms.write_buffer.pending_entries],
+            sorted((a, type(v).__name__, v) for a, v in ms.memory.items())))
+    return state
 
 
 def main(argv=None) -> int:
