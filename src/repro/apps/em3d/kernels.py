@@ -560,8 +560,8 @@ def _compute_phase_simple(ctx, n: int, degree: int, adj_base: int,
             retire += drain / capacity
             wb._last_retire = retire
             wb_pending.append(PendingWrite(line, start, retire, {a: acc}))
-            if len(wb_pending) == 1 and wb.settle_queue is not None:
-                wb.settle_queue.append(wb)
+            if len(wb_pending) == 1:
+                wb.mark_dirty()
             clock += issue_cycles + stall
     ctx.clock = clock
     l1.hits += l1_h

@@ -30,12 +30,13 @@ class Machine:
             Node(pe, self.params, fabric=self)
             for pe in range(self.torus.num_nodes)
         ]
-        # Registry of write buffers holding pending entries: a buffer
-        # appends itself on its empty->nonempty transition, so
-        # ``settle`` visits only buffers with scheduled work instead of
-        # sweeping all N nodes (per-waiter settles made that O(N^2)
+        # Registry of write buffers holding pending entries, an
+        # insertion-ordered dict used as a set: a buffer lists itself
+        # on its empty->nonempty transition (WriteBuffer.mark_dirty),
+        # so ``settle`` visits only buffers with scheduled work instead
+        # of sweeping all N nodes (per-waiter settles made that O(N^2)
         # per barrier epoch).
-        self._dirty_buffers: list = []
+        self._dirty_buffers: dict = {}
         self._peers: list = [None] * len(self.nodes)
         for node in self.nodes:
             node.memsys.write_buffer.settle_queue = self._dirty_buffers
@@ -133,12 +134,13 @@ class Machine:
         any clock, it only makes already-determined effects visible.
 
         Only buffers registered dirty since their last settle are
-        flushed; a retiring remote store's callback may dirty another
-        buffer mid-drain, so the registry is drained as a worklist.
+        flushed, newest listing first; a retiring remote store's
+        callback may dirty another buffer mid-drain, so the registry is
+        drained as a worklist.
         """
         dirty = self._dirty_buffers
         while dirty:
-            dirty.pop().flush_retired(float("inf"))
+            dirty.popitem()[0].flush_retired(float("inf"))
 
     # ------------------------------------------------------------------
     # Execution

@@ -147,6 +147,25 @@ class Node:
         if self.wake_sink is not None:
             self.wake_sink.append(("y", self.pe))
 
+    def record_store_arrivals(self, times, nbytes: list,
+                              addrs: list) -> None:
+        """:meth:`record_store_arrival` for each ``(times[k], nbytes[k],
+        addrs[k])`` in order (``times`` a float64 numpy array).  A run
+        that is time-ordered and no earlier than the latest logged
+        arrival is appended whole."""
+        if not len(times):
+            return
+        arrivals = self._arrivals
+        if ((not arrivals or times[0] >= arrivals[-1][0])
+                and not (times[1:] < times[:-1]).any()):
+            arrivals.extend(zip(times.tolist(), nbytes, addrs))
+            self._arrived_total += sum(nbytes)
+            if self.wake_sink is not None:
+                self.wake_sink.extend([("y", self.pe)] * len(nbytes))
+            return
+        for time, size, addr in zip(times.tolist(), nbytes, addrs):
+            self.record_store_arrival(size, time, addr)
+
     def _in_region(self, addr: int, region) -> bool:
         if region is None:
             return True

@@ -91,11 +91,12 @@ class WriteBuffer:
         #: Processor identity for trace attribution; set by the owning
         #: Node (a bare memory system has none).
         self.owner_pe: int | None = None
-        #: Dirty-buffer registry shared with the owning Machine: the
-        #: buffer appends itself on each empty->nonempty transition so
+        #: Dirty-buffer registry shared with the owning Machine, an
+        #: insertion-ordered dict used as a set: the buffer lists itself
+        #: on each empty->nonempty transition (:meth:`mark_dirty`) so
         #: ``Machine.settle`` only visits buffers with pending entries.
         #: A bare memory system (no machine) leaves this None.
-        self.settle_queue: list | None = None
+        self.settle_queue: dict | None = None
         if _trace.TRACE_ENABLED:
             _trace.TRACER.register_provider("write_buffer", self)
 
@@ -115,6 +116,18 @@ class WriteBuffer:
         self._last_retire = 0.0
         self.merged_writes = 0
         self.drained_entries = 0
+
+    def mark_dirty(self) -> None:
+        """List this buffer in the machine's dirty-buffer registry, on
+        an empty->nonempty transition.  A buffer is listed at most once
+        until ``Machine.settle`` pops it; listing an already-listed
+        buffer moves it to the newest position, so settle (newest
+        first) visits buffers in the order of their latest transition.
+        """
+        queue = self.settle_queue
+        if queue is not None:
+            queue.pop(self, None)
+            queue[self] = None
 
     def _line_addr(self, addr: int) -> int:
         return addr - (addr % self.line_bytes)
@@ -201,8 +214,8 @@ class WriteBuffer:
                          words={word: value}, apply_words=apply_words,
                          on_retire=on_retire, meta=meta)
         )
-        if len(self._pending) == 1 and self.settle_queue is not None:
-            self.settle_queue.append(self)
+        if len(self._pending) == 1:
+            self.mark_dirty()
         if _trace.TRACE_ENABLED:
             _trace.emit("wb_push", t=now, pe=self.owner_pe, line=line,
                         stall=stall, retire=retire)
@@ -235,8 +248,8 @@ class WriteBuffer:
             PendingWrite(line_addr=line, enqueue_time=start,
                          retire_time=retire, words={word: value})
         )
-        if len(self._pending) == 1 and self.settle_queue is not None:
-            self.settle_queue.append(self)
+        if len(self._pending) == 1:
+            self.mark_dirty()
         if _trace.TRACE_ENABLED:
             _trace.emit("wb_push", t=now, pe=self.owner_pe, line=line,
                         stall=stall, retire=retire)
@@ -286,11 +299,13 @@ class WriteBuffer:
         return opener
 
     def run_schedule(self, starts, opener, drains, last_retire=None,
-                     ready: float = float("-inf")):
+                     ready: float = float("-inf"),
+                     reopen_drain: float = 0.0):
         """``(new, retires)`` for a run of stores issued at ``starts``
         (numpy arrays; ``opener`` from :meth:`run_openers`, ``drains``
-        their DRAM costs and zero elsewhere): which stores open an
-        entry — the rest merge — and those entries' retire times.
+        their drain costs): which stores open an entry — the rest
+        merge — and those entries' retire times.  A store finding its
+        line's entry retired opens one with drain ``reopen_drain``.
         Raises :class:`~repro.vector.UnsupportedStimulus` when entries
         would meet (a store could stall or queue behind another).
 
@@ -304,7 +319,7 @@ class WriteBuffer:
         schedule = store_run_schedule(
             starts, opener, drains, self._capacity,
             self._last_retire if last_retire is None else last_retire,
-            ready)
+            ready, reopen_drain)
         if schedule is None:
             raise UnsupportedStimulus("stores meet in the write buffer")
         return schedule
@@ -328,8 +343,7 @@ class WriteBuffer:
                         count=retired)
         self._last_retire = entry.retire_time
         self._pending.append(entry)
-        if self.settle_queue is not None:
-            self.settle_queue.append(self)
+        self.mark_dirty()
 
     def find_word(self, now: float, addr: int):
         """Forwarding check: return ``(True, value)`` for the youngest

@@ -35,8 +35,8 @@ from repro.params import (
 )
 from repro.trace import tracer as _trace
 
-__all__ = ["AckRecord", "PeerExports", "RemoteAccessUnit",
-           "make_inbound_on_retire"]
+__all__ = ["AckRecord", "InboundStoreRun", "PeerExports",
+           "RemoteAccessUnit", "make_inbound_on_retire"]
 
 
 def make_inbound_on_retire(node, rparams: RemoteAccessParams):
@@ -132,6 +132,70 @@ def make_inbound_on_retire(node, rparams: RemoteAccessParams):
         record_arrival(nbytes, arrival + mem_cycles, line_local)
 
     return on_retire
+
+
+class InboundStoreRun:
+    """Batch counterpart of :func:`make_inbound_on_retire`: the
+    retirement of a run of one sender's store packets into ``peer``'s
+    node, in retire order, computed whole (:mod:`repro.vector.bulk`).
+
+    Construction is pure: it places each packet's arrival behind the
+    target interface's serialization and raises
+    :class:`~repro.vector.UnsupportedStimulus` unless only the first
+    can queue (behind earlier traffic) — one sender's stream, drained
+    at least ``target_service_cycles`` apart, never queues behind
+    itself.  ``retires`` are the entries' retire times, ``mem_cycles``
+    the target DRAM cost of each packet's access (the caller computes
+    the access stream) and ``nbytes`` its payload; all are numpy
+    arrays.  :meth:`commit` then does what the per-line callbacks
+    would have done.
+    """
+
+    def __init__(self, peer: "PeerExports", sender: "RemoteAccessUnit",
+                 retires, mem_cycles, nbytes, lines):
+        from repro.vector import UnsupportedStimulus
+        node = peer.node
+        rparams = node.remote.params
+        flight = sender.flight(node.pe)
+        arrivals = retires + flight
+        if len(arrivals) and arrivals[0] < node.inbound_busy_until:
+            arrivals[0] = node.inbound_busy_until
+        if (arrivals[1:] < arrivals[:-1]
+                + rparams.target_service_cycles).any():
+            raise UnsupportedStimulus("a store packet queues behind the "
+                                      "sender's own stream")
+        self.peer = peer
+        self.sender = sender
+        self.retires = retires
+        self.arrivals = arrivals
+        # on_retire's order: arrival + mem, then + flight, + overhead.
+        self.landed = arrivals + mem_cycles
+        self.acks = (self.landed + flight) + rparams.write_ack_overhead_cycles
+        self.nbytes = nbytes
+        self.lines = lines & LOCAL_ADDR_MASK
+        self.service = rparams.target_service_cycles
+
+    def commit(self, dram_state, dram_counts: dict, first_word: int,
+               values: list, stores: int) -> None:
+        """Install the run: the target interface's busy time, the
+        target DRAM's final ``dram_state`` and ``dram_counts``
+        (:meth:`Dram.commit_batch <repro.node.dram.Dram.commit_batch>`),
+        the payload ``values`` stored from local word ``first_word`` on
+        with the target L1 lines they cover invalidated, the arrival
+        log, and the sender's ``stores`` stores and acknowledgements."""
+        peer = self.peer
+        node = peer.node
+        if len(self.arrivals):
+            node.inbound_busy_until = float(self.arrivals[-1]) + self.service
+        peer.dram.commit_batch(dram_state[0], dram_state[1], **dram_counts)
+        if values:
+            peer.memory.store_range(first_word, values)
+            node.memsys.l1.invalidate_range(first_word,
+                                            len(values) * WORD_BYTES)
+        nbytes = self.nbytes.tolist()
+        node.record_store_arrivals(self.landed, nbytes, self.lines.tolist())
+        self.sender.commit_store_run(stores, self.retires.tolist(),
+                                     self.acks.tolist(), nbytes)
 
 
 class AckRecord:
@@ -293,6 +357,14 @@ class RemoteAccessUnit:
             first, last = fetched
             for line in [k for k in snapshots if first <= k <= last]:
                 del snapshots[line]
+
+    def commit_store_run(self, stores: int, drain_times, ack_times,
+                         nbytes) -> None:
+        """Record a batch of remote stores computed elsewhere
+        (:mod:`repro.vector.bulk`): add ``stores`` stores and one
+        acknowledgement per drained entry, in drain order."""
+        self.stores += stores
+        self._acks.extend(map(AckRecord, drain_times, ack_times, nbytes))
 
     # ------------------------------------------------------------------
     # Reads

@@ -2,9 +2,9 @@
 
 Several hot loops have a flattened spelling that makes the same state
 transitions, clock additions and counter bumps as the per-operation
-reference model, only with fewer Python frames: the bulk store stream
-and the numpy bulk reads (:mod:`repro.splitc.bulk`,
-:mod:`repro.vector.bulk`), the BLT range copies
+reference model, only with fewer Python frames: the numpy bulk reads
+and store stream (:mod:`repro.vector.bulk`, called from
+:mod:`repro.splitc.bulk`), the BLT range copies
 (:mod:`repro.shell.blt`), the flat ``SplitC.put_scatter`` exchange, the
 EM3D ghost fill and the EM3D compute phase (both the numpy kernel and
 the scalar ``simple`` loop).  Every one of them reads :data:`ENABLED`

@@ -20,15 +20,16 @@ structure assignment to these routines); the BLT path additionally
 supports strided gathers, tested separately.
 
 The word loops below are the reference model.  Uncached, prefetch and
-cached reads of :data:`repro.vector.bulk.MIN_WORDS` words or more run
-as whole-transfer array arithmetic (:mod:`repro.vector.bulk`) when the
-numpy tier may, with identical results.
+cached reads and the store stream of :data:`repro.vector.bulk.MIN_WORDS`
+words or more run as whole-transfer array arithmetic
+(:mod:`repro.vector.bulk`) when the numpy tier may, with identical
+results.
 """
 
 from __future__ import annotations
 
 from repro import vector as _vector
-from repro.params import LOCAL_ADDR_MASK, WORD_BYTES
+from repro.params import WORD_BYTES
 from repro.shell.annex import ReadMode
 from repro.simkernel import fastpath
 from repro.splitc.gptr import GlobalPtr
@@ -69,11 +70,12 @@ def _local_copy(sc, dst_offset: int, src_offset: int, nbytes: int) -> None:
 # Bulk read mechanisms (Figure 8, left)
 # ----------------------------------------------------------------------
 
-def _batched(kernel: str, ctx, pe: int, src_addr: int, dst_offset: int,
+def _batched(kernel: str, ctx, pe: int, remote_addr: int, local_addr: int,
              nwords: int, *args) -> bool:
     """Run one whole transfer of at least
-    :data:`repro.vector.bulk.MIN_WORDS` words on the numpy kernel
-    ``repro.vector.bulk.<kernel>`` when the fast paths
+    :data:`repro.vector.bulk.MIN_WORDS` words between processor ``pe``
+    at ``remote_addr`` and this one at ``local_addr`` on the numpy
+    kernel ``repro.vector.bulk.<kernel>`` when the fast paths
     (:data:`repro.simkernel.fastpath.ENABLED`) and the vector tier are
     on and no tracer is attached; False (nothing changed) otherwise,
     or when the kernel declines the transfer."""
@@ -83,8 +85,8 @@ def _batched(kernel: str, ctx, pe: int, src_addr: int, dst_offset: int,
     if nwords < _vector_bulk.MIN_WORDS:
         return False
     try:
-        getattr(_vector_bulk, kernel)(ctx, pe, src_addr, dst_offset, nwords,
-                                      *args)
+        getattr(_vector_bulk, kernel)(ctx, pe, remote_addr, local_addr,
+                                      nwords, *args)
     except _vector.UnsupportedStimulus:
         return False
     return True
@@ -183,6 +185,30 @@ def bulk_read_blt(sc, dst_offset: int, src: GlobalPtr, nbytes: int,
 # Bulk write mechanisms (Figure 8, right)
 # ----------------------------------------------------------------------
 
+def _store_stream(sc, dst: GlobalPtr, src_offset: int, nbytes: int) -> None:
+    """The non-blocking store loop of :func:`bulk_write_stores` and
+    :func:`bulk_put`: read each local word, store it remotely.  No
+    memory barrier or acknowledgement wait."""
+    index = sc._setup_annex(dst.pe)
+    nwords = _words(nbytes)
+    ctx = sc.ctx
+    if _batched("write_stores", ctx, dst.pe, dst.addr, src_offset, nwords,
+                index):
+        return
+    unit = ctx.node.remote
+    bus = unit.params.bus_interference_cycles
+    for i in range(nwords):
+        read_cycles, value = ctx.node.memsys.read(
+            ctx.clock, src_offset + i * WORD_BYTES)
+        ctx.charge(read_cycles)
+        if read_cycles > 2.0:      # source missed the cache
+            ctx.charge(bus)
+        offset = dst.addr + i * WORD_BYTES
+        full = sc._full_addr(index, offset)
+        ctx.charge(unit.store(ctx.clock, dst.pe, offset, value, full))
+        ctx.charge(ctx.node.alpha.loop_iteration())
+
+
 def bulk_write_stores(sc, dst: GlobalPtr, src_offset: int,
                       nbytes: int) -> None:
     """Non-blocking stores: read each local word, store it remotely.
@@ -192,119 +218,9 @@ def bulk_write_stores(sc, dst: GlobalPtr, src_offset: int,
     on the node bus, capping bandwidth near the measured 90 MB/s.
     The routine waits for all acknowledgements before returning.
     """
-    index = sc._setup_annex(dst.pe)
-    bus = sc.ctx.node.params.shell.remote.bus_interference_cycles
-    unit = sc.ctx.node.remote
-    nwords = _words(nbytes)
-    ctx = sc.ctx
-    if (fastpath.ENABLED and ctx.node.memsys._fast_read
-            and dst.addr + (nwords - 1) * WORD_BYTES <= LOCAL_ADDR_MASK):
-        _store_stream_fast(sc, ctx, unit, dst.pe, dst.addr, src_offset,
-                           nwords, index, bus)
-    else:
-        for i in range(nwords):
-            read_cycles, value = ctx.node.memsys.read(
-                ctx.clock, src_offset + i * WORD_BYTES)
-            ctx.charge(read_cycles)
-            if read_cycles > 2.0:      # source missed the cache
-                ctx.charge(bus)
-            offset = dst.addr + i * WORD_BYTES
-            full = sc._full_addr(index, offset)
-            ctx.charge(unit.store(ctx.clock, dst.pe, offset, value, full))
-            ctx.charge(ctx.node.alpha.loop_iteration())
-    ctx.memory_barrier()
-    ctx.clock = unit.wait_for_acks(ctx.clock)
-
-
-def _store_stream_fast(sc, ctx, unit, pe: int, dst_addr: int,
-                       src_offset: int, nwords: int, index: int,
-                       bus: float) -> None:
-    """The store-stream loop with the local read pipeline and the
-    write-buffer merge inlined.
-
-    Words that merge into an open entry for their line are absorbed
-    here (the same entry/word updates and issue cycles ``push`` would
-    make); the non-merging word of each line still goes through
-    :meth:`RemoteAccessUnit.store`, which builds the retire closure —
-    one cross-module call per cache line instead of per word.  Annex
-    composition is hoisted: ``compose_address`` is ``(index << shift)
-    | offset``, linear in the offset while offsets stay below the
-    segment reach (the caller guarantees it).
-    """
-    node = ctx.node
-    memsys = node.memsys
-    wb = memsys.write_buffer
-    pending = wb._pending            # flush_retired trims it in place
-    wb_flush = wb.flush_retired
-    issue_cycles = wb._issue_cycles
-    merging = wb._merging
-    wline = wb.line_bytes
-    l1 = memsys.l1
-    lb = l1._line_bytes
-    nsets = l1._num_sets
-    tags = l1._tags
-    tags_get = tags.get
-    hit_cycles = memsys.params.l1.hit_cycles
-    dram_access = memsys.dram.access
-    mem_get = memsys.memory.word_get
-    mask = LOCAL_ADDR_MASK
-    wbytes = WORD_BYTES
-    loop_it = node.alpha.loop_iteration()
-    full_base = node.annex.compose_address(index, dst_addr)
-    store = unit.store
-    clock = ctx.clock
-    for i in range(nwords):
-        # --- source read: memsys.read, flattened ---
-        a = src_offset + i * wbytes
-        found = False
-        if pending:
-            if pending[0].retire_time <= clock:
-                wb_flush(clock)
-            w = a - (a % wbytes)
-            for entry in reversed(pending):
-                if w in entry.words:
-                    found = True
-                    fv = entry.words[w]
-                    break
-        line = a - (a % lb)
-        cindex = (a // lb) % nsets
-        if tags_get(cindex) == line:
-            l1.hits += 1
-            rc = hit_cycles
-        else:
-            l1.misses += 1
-            tags[cindex] = line
-            rc = dram_access(a & mask)
-        if found:
-            value = fv
-        else:
-            la = a & mask
-            value = mem_get(la - (la % wbytes), 0)
-        clock += rc
-        if rc > 2.0:                   # source missed the cache
-            clock += bus
-        # --- remote store: push's flush-then-merge-scan inlined; the
-        # drain peek the unit would make is pure, so skipping it for
-        # merged words changes nothing ---
-        full = full_base + i * wbytes
-        if pending and pending[0].retire_time <= clock:
-            wb_flush(clock)
-        fline = full - (full % wline)
-        merged = False
-        if merging:
-            for entry in pending:
-                if entry.line_addr == fline:
-                    entry.words[full - (full % wbytes)] = value
-                    merged = True
-                    break
-        if merged:
-            wb.merged_writes += 1
-            unit.stores += 1
-            clock += issue_cycles
-        else:
-            clock += store(clock, pe, dst_addr + i * wbytes, value, full)
-        clock += loop_it
-    ctx.clock = clock
+    _store_stream(sc, dst, src_offset, nbytes)
+    sc.ctx.memory_barrier()
+    sc.ctx.clock = sc.ctx.node.remote.wait_for_acks(sc.ctx.clock)
 
 
 def bulk_write_blt(sc, dst: GlobalPtr, src_offset: int, nbytes: int,
@@ -442,23 +358,4 @@ def bulk_put(sc, dst: GlobalPtr, src_offset: int, nbytes: int) -> None:
         sc.ctx.charge(initiate)
         sc._pending_blt.append(transfer)
         return
-    index = sc._setup_annex(dst.pe)
-    bus = sc.ctx.node.params.shell.remote.bus_interference_cycles
-    unit = sc.ctx.node.remote
-    nwords = _words(nbytes)
-    ctx = sc.ctx
-    if (fastpath.ENABLED and ctx.node.memsys._fast_read
-            and dst.addr + (nwords - 1) * WORD_BYTES <= LOCAL_ADDR_MASK):
-        _store_stream_fast(sc, ctx, unit, dst.pe, dst.addr, src_offset,
-                           nwords, index, bus)
-        return
-    for i in range(nwords):
-        read_cycles, value = ctx.node.memsys.read(
-            ctx.clock, src_offset + i * WORD_BYTES)
-        ctx.charge(read_cycles)
-        if read_cycles > 2.0:
-            ctx.charge(bus)
-        offset = dst.addr + i * WORD_BYTES
-        full = sc._full_addr(index, offset)
-        ctx.charge(unit.store(ctx.clock, dst.pe, offset, value, full))
-        ctx.charge(ctx.node.alpha.loop_iteration())
+    _store_stream(sc, dst, src_offset, nbytes)

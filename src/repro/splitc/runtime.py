@@ -327,7 +327,7 @@ class SplitC:
         capacity = wb._capacity
         pending = wb._pending
         wb_flush = wb.flush_retired
-        settle_queue = wb.settle_queue
+        mark_dirty = wb.mark_dirty
         line_bytes = wb.line_bytes
         wbytes = WORD_BYTES
         mask = LOCAL_ADDR_MASK
@@ -555,8 +555,8 @@ class SplitC:
                         PendingWrite(line, start, retire,
                                      {word: value}, False, on_retire,
                                      remote))
-                    if len(pending) == 1 and settle_queue is not None:
-                        settle_queue.append(wb)
+                    if len(pending) == 1:
+                        mark_dirty()
                     store_cycles += stall
                 clock += store_cycles + put_extra
                 put_cycles += clock - issued_at

@@ -41,10 +41,11 @@ words the segment tier cannot vouch for, declines with
 :class:`UnsupportedStimulus` before changing anything and runs on the
 reference loop.
 
-Figure 8's uncached, prefetch and cached bulk reads run on the tier
-too (:mod:`repro.vector.bulk`): each whole transfer is computed from
-the unit batch methods, and a transfer the kernels cannot prove equal
-declines the same way and runs on the reference loop.
+Figure 8's uncached, prefetch and cached bulk reads and its store
+stream run on the tier too (:mod:`repro.vector.bulk`): each whole
+transfer is computed from the unit batch methods, and a transfer the
+kernels cannot prove equal declines the same way and runs on the
+reference loop.
 
 This module imports neither numpy nor the kernel modules at import
 time, so ``import repro`` works on a numpy-less interpreter.
@@ -83,10 +84,9 @@ class UnsupportedStimulus(Exception):
 #:   blocking variant additionally interleaves memory barriers and
 #:   status polls with the drain schedule.
 #: * ``bulk_transfer`` — not a stride-sweep family.  Its uncached,
-#:   prefetch and cached reads are claimed per call by
-#:   :mod:`repro.vector.bulk`, which commits every unit's state
-#:   (``tests/test_fastpath_equivalence.py`` fingerprints it); the
-#:   store stream stays a scalar loop.
+#:   prefetch and cached reads and its store stream are claimed per
+#:   call by :mod:`repro.vector.bulk`, which commits every unit's state
+#:   (``tests/test_fastpath_equivalence.py`` fingerprints it).
 #: * ``em3d`` — not a stride-sweep family.  Its compute phase is
 #:   claimed per call by :func:`repro.vector.em3d.compute_phase`, which
 #:   the EM3D dispatcher calls directly: the phase's clock stream

@@ -1,11 +1,13 @@
-"""Figure 8's bulk reads as whole-transfer array arithmetic.
+"""Figure 8's bulk reads and store stream as whole-transfer array
+arithmetic.
 
 The three word-at-a-time bulk-read mechanisms of
 :mod:`repro.splitc.bulk` — uncached reads, the prefetch pipeline and
 cached reads — move ``nwords`` consecutive words from a remote node
-into consecutive local words.  Every address of the transfer is known
-before it starts, so each whole transfer follows in closed form from
-the unit batch methods:
+into consecutive local words; the store stream (:func:`write_stores`,
+described there) moves them the other way.  Every address of the
+transfer is known before it starts, so each whole transfer follows in
+closed form from the unit batch methods:
 
 * **Remote reads.**  The target DRAM sees one access per uncached read
   or prefetch issue, and one per cached line fill, in word order
@@ -56,13 +58,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.node.write_buffer import PendingWrite
+from repro.shell.remote import InboundStoreRun
 from repro.params import ANNEX_BIT_SHIFT, LOCAL_ADDR_MASK, WORD_BYTES
 from repro.vector import UnsupportedStimulus
 
 __all__ = ["CHUNK_WORDS", "MIN_WORDS", "read_cached", "read_prefetch",
-           "read_uncached"]
+           "read_uncached", "write_stores"]
 
 #: Words per chunk: bounds the transient arrays to about 64 KB each.
+#: A multiple of the words in a line, so the store stream's chunks
+#: after the first begin on a line.
 CHUNK_WORDS = 1 << 13
 
 #: Shortest transfer the dispatcher hands to these kernels.  A kernel
@@ -437,4 +442,221 @@ def read_cached(ctx, pe: int, src_addr: int, dst: int, nwords: int,
     unit.commit_read_run(
         line_fills=nwords - hits_n, dropped=evicted[evicted >= 0].tolist(),
         fetched=(first_line, last - last % lb), flush_all=batch_flush)
+    ctx.clock = clock
+
+
+def write_stores(ctx, pe: int, dst: int, src: int, nwords: int,
+                 index: int) -> None:
+    """:func:`repro.splitc.bulk.bulk_write_stores`'s word loop (after
+    the Annex set-up to ``index``): read each local word from ``src``
+    on and store it to processor ``pe`` at ``dst`` on, through the
+    write buffer.  The caller's memory barrier and acknowledgement wait
+    are not part of it: the run's last entry stays pending with its
+    real retirement callback.
+
+    * **Source reads** go through the local L1
+      (:meth:`Cache.access_fill_batch
+      <repro.node.cache.Cache.access_fill_batch>`), the misses through
+      the local DRAM (:meth:`Dram.access_batch
+      <repro.node.dram.Dram.access_batch>`), and a read costing more
+      than 2 cycles adds the bus interference.
+    * **Remote stores.**  A line's first store opens an entry whose
+      drain is the packet hand-off plus the target DRAM access it will
+      make; later stores merge while it is pending and open another
+      (a row hit) once it has retired (:meth:`WriteBuffer.run_schedule
+      <repro.node.write_buffer.WriteBuffer.run_schedule>` with
+      ``reopen_drain``).  While no entry meets another, each entry has
+      retired — and its packet made its target DRAM access — by the
+      next entry's drain peek, so one target DRAM stream over the
+      lines gives both every peek and every access.  The only other
+      case the kernel takes is a peek before the retirement of an
+      entry that reopened its line, whose access changes nothing.
+    * **The clock** is one ``np.cumsum`` over read, bus, store issue
+      and loop per word.
+    * **Target side.**  Every entry but the last retires inside the
+      run; :class:`~repro.shell.remote.InboundStoreRun` does what their
+      callbacks would: arrivals behind the target interface, the
+      target DRAM, memory words and L1 lines, the arrival log (and
+      wake list) and the sender's acknowledgements.
+
+    Declines (before any unit changes): a store to the storing
+    processor, not the T3D node shape, a transfer outside the segment
+    reach, differing sender and target shells, a remote-store entry or
+    an entry holding a source word in the buffer, a destination that
+    shares memory with the source, entries that would meet (a stall
+    or a queued drain), any other drain peek that precedes the previous
+    entry's retirement, and a packet queueing behind the sender's own
+    stream.
+    """
+    if pe == ctx.pe:
+        _decline("store to the storing processor")
+    node = ctx.node
+    memsys = node.memsys
+    params = memsys.params
+    wb = memsys.write_buffer
+    lb = wb.line_bytes
+    if (memsys.l2 is not None or not params.tlb.never_misses
+            or params.l1.associativity != 1 or not wb.params.merging
+            or lb % WORD_BYTES):
+        _decline("not the T3D node shape")
+    span = (nwords - 1) * WORD_BYTES
+    if (src < 0 or src + span > LOCAL_ADDR_MASK
+            or dst < 0 or dst + span > LOCAL_ADDR_MASK):
+        _decline("transfer outside the segment reach")
+    unit = node.remote
+    rparams = unit.params
+    peer = unit.peer(pe)
+    if peer.node.remote.params != rparams:
+        _decline("sender and target shells differ")
+    first_src = src - src % WORD_BYTES
+    pending = wb.pending_entries
+    for entry in pending:
+        if not entry.apply_words or entry.on_retire is not None:
+            _decline("write buffer holds a remote store")
+        if any(first_src <= w <= first_src + span for w in entry.words):
+            _decline("write buffer holds a source word")
+    first_dst = dst - dst % WORD_BYTES
+    shared = {id(seg) for seg in memsys.memory.segments}
+    if peer.memory is memsys.memory or any(
+            id(seg) in shared for seg in peer.memory.segments
+            if seg.base <= first_dst + span
+            and first_dst <= seg.base + seg.limit):
+        _decline("destination shares memory with the source")
+
+    hit = params.l1.hit_cycles
+    bus = rparams.bus_interference_cycles
+    issue = wb.params.issue_cycles
+    loop_it = node.alpha.loop_iteration()
+    access = peer.access_cycles
+    off_page = rparams.remote_off_page_cycles
+    drain = rparams.store_drain_cycles
+    l1 = memsys.l1
+    tags = l1.tag_array()
+    lrows = memsys.dram.row_state()
+    l_n = l_rm = l_cf = hits_n = 0
+    trows = peer.dram.row_state()
+    t_rm = t_cf = 0
+    full_base = (index << ANNEX_BIT_SHIFT) + dst
+    # The latest entry before each chunk: its retire time (before the
+    # run, that of the local entries pending, which must all retire by
+    # the first store) and whether it opened its line.
+    prev_retire = max((e.retire_time for e in pending),
+                      default=float("-inf"))
+    prev_opens_line = False
+    last_retire = None                 # the buffer's own, until a chunk
+    retires, mems, sizes, openers = [], [], [], []
+    clock = ctx.clock
+    first_start = None
+    # Chunks after the first begin on a destination line, so no
+    # write-buffer entry spans two chunks.
+    head = (lb - full_base % lb + WORD_BYTES - 1) // WORD_BYTES
+    edges = [0] + list(range(head + CHUNK_WORDS, nwords, CHUNK_WORDS))
+    for c, i0 in enumerate(edges):
+        final = c + 1 == len(edges)
+        m = (nwords if final else edges[c + 1]) - i0
+        words = np.arange(i0, i0 + m, dtype=np.int64) * WORD_BYTES
+        # Source reads: the L1, then the local DRAM on a miss, plus the
+        # bus interference whenever the read went to memory.
+        saddrs = src + words
+        hits, tags = l1.access_fill_batch(saddrs, tags)
+        hits_n += int(hits.sum())
+        stream = memsys.dram.access_batch(saddrs[~hits] & LOCAL_ADDR_MASK,
+                                          lrows)
+        lrows = (stream.open_row, stream.last_bank)
+        l_n += len(stream.costs)
+        l_rm += stream.row_misses
+        l_cf += stream.same_bank_conflicts
+        steps = np.empty((m, 4), dtype=np.float64)
+        steps[:, 0] = hit
+        steps[~hits, 0] = stream.costs
+        steps[:, 1] = np.where(steps[:, 0] > 2.0, bus, 0.0)
+        steps[:, 2] = issue
+        steps[:, 3] = loop_it
+        clocks = np.cumsum(np.concatenate(([clock], steps.ravel())))
+        reads = clocks[0:4 * m:4]          # each word's source read
+        starts = clocks[2:4 * m:4]         # ... and its store's issue
+        clock = float(clocks[-1])
+        if first_start is None:
+            first_start = float(starts[0])
+        # Remote stores.  A line's first store opens an entry whose
+        # drain peeks at the target DRAM access it will make; the run's
+        # accesses are one stream, in order.  The pending entry's
+        # access (the last line's, if that entry opened it) happens
+        # after the run: the state before it is kept for the commit.
+        lines = (full_base + words) // lb * lb
+        opens_line = wb.run_openers(lines)
+        tlines = lines[opens_line] & LOCAL_ADDR_MASK
+        stream = peer.dram.access_batch(tlines[:-1] if final else tlines,
+                                        trows, off_page, peer.same_bank)
+        costs = stream.costs
+        trows = (stream.open_row, stream.last_bank)
+        t_rm += stream.row_misses
+        t_cf += stream.same_bank_conflicts
+        if final:
+            kept = trows, t_rm, t_cf
+            stream = peer.dram.access_batch(tlines[-1:], trows, off_page,
+                                            peer.same_bank)
+            costs = np.concatenate((costs, stream.costs))
+            trows = (stream.open_row, stream.last_bank)
+            t_rm += stream.row_misses
+            t_cf += stream.same_bank_conflicts
+        drains = np.zeros(m, dtype=np.float64)
+        drains[opens_line] = drain + (costs - access)
+        # A store finding its line's entry retired opens another; its
+        # peek finds the row that entry's access left open: a hit.
+        new, entry_retire = wb.run_schedule(
+            starts, opens_line, drains, last_retire, prev_retire,
+            reopen_drain=drain + (access - access))
+        opened = np.flatnonzero(new)
+        entry_opens_line = opens_line[opened]
+        # A drain peek sees the previous entry's DRAM access only if
+        # the source read before the store flushed that entry; if not,
+        # the entry must have reopened its line, an access that leaves
+        # the controller as it found it.
+        before = np.concatenate(([prev_retire], entry_retire[:-1]))
+        early = before > reads[opened]
+        early &= np.concatenate(([prev_opens_line], entry_opens_line[:-1]))
+        if early.any():
+            _decline("a drain peek precedes the previous entry's retirement")
+        mem = np.full(len(opened), access, dtype=np.float64)
+        mem[entry_opens_line] = costs
+        retires.append(entry_retire)
+        mems.append(mem)
+        sizes.append(np.diff(np.append(opened, m)) * WORD_BYTES)
+        openers.append(opened + i0)
+        prev_retire = last_retire = float(entry_retire[-1])
+        prev_opens_line = bool(entry_opens_line[-1])
+        last_start = float(starts[opened[-1]])
+
+    retires = np.concatenate(retires)
+    openers = np.concatenate(openers)
+    entries = len(retires)
+    if prev_opens_line:
+        trows, t_rm, t_cf = kept
+    inbound = InboundStoreRun(
+        peer, unit, retires[:-1], np.concatenate(mems)[:-1],
+        np.concatenate(sizes)[:-1],
+        (full_base + WORD_BYTES * openers[:-1]) // lb * lb)
+
+    # Every check passed: commit.
+    values = memsys.memory.load_range(src, nwords)
+    kept_from = int(openers[-1])
+    inbound.commit(trows, dict(accesses=entries - 1, row_misses=t_rm,
+                               same_bank_conflicts=t_cf),
+                   first_dst, values[:kept_from], nwords)
+    l1.commit_batch(tags, hits_n, nwords - hits_n)
+    memsys.dram.commit_batch(lrows[0], lrows[1], accesses=l_n,
+                             row_misses=l_rm, same_bank_conflicts=l_cf)
+    wb.flush_retired(first_start)
+    words = {}
+    for j in range(kept_from, nwords):
+        addr = full_base + j * WORD_BYTES
+        words[addr - addr % WORD_BYTES] = values[j]
+    first = full_base + kept_from * WORD_BYTES
+    wb.append_isolated_run(
+        entries - 1,
+        PendingWrite(first - first % lb, last_start, float(retires[-1]),
+                     words, apply_words=False, on_retire=peer.on_retire,
+                     meta=unit),
+        merged=nwords - entries)
     ctx.clock = clock

@@ -247,44 +247,59 @@ def isolated_store_retires(starts: np.ndarray, drains: np.ndarray,
 
 def store_run_schedule(starts: np.ndarray, opener: np.ndarray,
                        drains: np.ndarray, capacity: int,
-                       last_retire: float, ready: float):
+                       last_retire: float, ready: float,
+                       reopen_drain: float = 0.0):
     """Write-buffer schedule of a run of stores that may merge:
     ``(new, retires)`` — which stores open an entry, and the retire
     times of those entries — or ``None`` when entries would meet.
 
-    Twin of :meth:`MemorySystem.write_cycles
-    <repro.node.memsys.MemorySystem.write_cycles>` for stores issued at
-    ``starts`` to lines in non-decreasing order, where ``opener`` marks
-    the stores that find no entry for their line (they drain through
-    DRAM at cost ``drains``; every other store has drain ``0``).  A
+    Twin of :meth:`WriteBuffer.push <repro.node.write_buffer.WriteBuffer.push>`
+    for stores issued at ``starts`` to lines in non-decreasing order,
+    where ``opener`` marks the stores that find no entry for their line
+    (they drain at cost ``drains``; the array is ignored elsewhere).  A
     non-opening store finds its line's latest entry: it merges while
     that entry is still pending (retire time after the store), and
-    opens a fresh zero-drain entry once the entry has retired.  While
-    every entry retires before the next *opening* store issues (the
-    :func:`isolated_store_retires` condition over the new entries), no
-    store stalls and each line's first entry retires at ``start +
-    drain / capacity`` — which fixes every merge decision.  Merges are
-    exact, never a reason to decline; the condition is checked on the
-    computed times, so ``None`` never hides a wrong answer.
-    ``last_retire`` is the buffer's drain schedule before the run
-    (the retire time of the entry a leading non-opener continues);
+    opens a fresh entry with drain ``reopen_drain`` once the entry has
+    retired — zero for local stores (:meth:`MemorySystem.write_cycles
+    <repro.node.memsys.MemorySystem.write_cycles>` skips the DRAM
+    access), the packet hand-off for remote ones, whose later stores
+    then merge into it.  While every entry retires before the next one
+    opens (the :func:`isolated_store_retires` condition), no store
+    stalls and each entry retires at ``start + drain / capacity`` —
+    which fixes every merge decision, a few word positions per line at
+    a time.  Merges are exact, never a reason to decline; the condition
+    is checked on the computed times, so ``None`` never hides a wrong
+    answer.  ``last_retire`` is the buffer's drain schedule before the
+    run (the retire time of the entry leading non-openers continue);
     ``ready`` the latest retire time of entries pending before it.
     """
     n = len(starts)
-    retire_if_new = starts + drains / capacity
-    if opener.any():
-        f = int(opener.argmax())
-        retire_if_new[f] = (max(float(starts[f]), last_retire)
-                            + drains[f] / capacity)
-    owner = np.maximum.accumulate(np.where(opener, np.arange(n), -1))
-    owner_retire = np.where(owner >= 0, retire_if_new[owner.clip(0)],
-                            last_retire)
-    new = opener | (owner_retire <= starts)
-    if not new.any():
-        return new, np.zeros(0, dtype=np.float64)
-    retires = isolated_store_retires(starts[new], drains[new], capacity,
-                                     last_retire, ready)
-    if retires is None:
+    firsts = np.flatnonzero(opener)
+    retires = np.zeros(n, dtype=np.float64)
+    retires[firsts] = starts[firsts] + drains[firsts] / capacity
+    if len(firsts):
+        f = int(firsts[0])
+        retires[f] = (max(float(starts[f]), last_retire)
+                      + drains[f] / capacity)
+    # Stores before the first opener continue the entry pending before
+    # the run: line -1, whose entry retires at ``last_retire``.
+    line = np.cumsum(opener) - 1
+    current = np.append(retires[firsts], last_retire)
+    position = np.arange(n) - np.append(firsts, -1)[line]
+    new = opener.copy()
+    interval = reopen_drain / capacity
+    for j in range(1, int(position.max(initial=0)) + 1):
+        at = np.flatnonzero(position == j)
+        owner = line[at]
+        reopen = current[owner] <= starts[at]
+        at, owner = at[reopen], owner[reopen]
+        current[owner] = starts[at] + interval
+        new[at] = True
+        retires[at] = current[owner]
+    retires = retires[new]
+    opened = starts[new]
+    if len(retires) and (ready > opened[0] or bool(
+            (retires[:-1] > opened[1:]).any())):
         return None
     return new, retires
 

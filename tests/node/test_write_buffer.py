@@ -113,3 +113,20 @@ def test_reset():
     wb.reset()
     assert wb.occupancy(0.0) == 0
     assert wb._last_retire == 0.0
+
+
+def test_registry_lists_a_buffer_once_at_its_latest_transition():
+    """Each empty->nonempty transition lists the buffer in the shared
+    dirty registry; a buffer already listed moves to the newest
+    position instead of being listed twice, so a settle (newest first)
+    visits buffers in the order of their latest transitions."""
+    registry = {}
+    a, _ = make_wb()
+    b, _ = make_wb()
+    a.settle_queue = b.settle_queue = registry
+    a.push(0.0, 0, "a", drain_cost=22.0)
+    b.push(0.0, 0, "b", drain_cost=22.0)
+    a.flush_retired(100.0)                  # a drains, then refills
+    a.push(100.0, 64, "a2", drain_cost=22.0)
+    assert list(registry) == [b, a]
+    assert registry.popitem()[0] is a

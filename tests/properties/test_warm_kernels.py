@@ -145,3 +145,67 @@ def test_isolated_store_retires_matches_push_new(gaps, drains, capacity,
         assert not met
         assert replay[-1] == got[-1]
         assert wb._last_retire == float(got[-1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(lines=st.lists(st.integers(1, 4), min_size=1, max_size=12),
+       gaps=st.data(), capacity=st.sampled_from([1, 2, 4]),
+       reopen_drain=st.sampled_from([0.0, 68.0]),
+       last_retire=st.integers(0, 120))
+def test_store_run_schedule_matches_push(lines, gaps, capacity,
+                                         reopen_drain, last_retire):
+    """The merging write-buffer schedule equals ``push`` replay
+    whenever it claims the run: each line's first store drains at its
+    own cost, and a later store merges while its line's latest entry
+    is pending and opens one draining ``reopen_drain`` once it has
+    retired.  It declines exactly when an opening store finds an
+    entry still live."""
+    from repro.node.write_buffer import WriteBuffer
+    from repro.params import WriteBufferParams
+    from repro.vector.kernels import store_run_schedule
+
+    count = sum(lines)
+    starts = np.cumsum(np.asarray(gaps.draw(st.lists(
+        st.integers(1, 30), min_size=count, max_size=count)),
+        dtype=np.float64)) + 50.0
+    addrs = np.asarray([32 * k + 8 * j for k, n in enumerate(lines)
+                        for j in range(n)], dtype=np.int64)
+    opener = np.ones(count, dtype=bool)
+    opener[1:] = addrs[1:] // 32 != addrs[:-1] // 32
+    drains = np.where(opener, np.asarray(gaps.draw(st.lists(
+        st.sampled_from([22.0, 68.0, 83.0]), min_size=count,
+        max_size=count))), 0.0)
+    got = store_run_schedule(starts, opener, drains, capacity,
+                             float(last_retire), float("-inf"),
+                             reopen_drain)
+    wb = WriteBuffer(WriteBufferParams(entries=capacity))
+    wb._last_retire = float(last_retire)
+    new, retires, met = [], [], False
+    for start, addr, first, drain in zip(starts.tolist(), addrs.tolist(),
+                                         opener.tolist(), drains.tolist()):
+        wb.flush_retired(start)
+        live = [e.line_addr for e in wb.pending_entries]
+        new.append(addr // 32 * 32 not in live)
+        met = met or (new[-1] and bool(live))
+        wb.push(start, addr, 0.0, drain if first else reopen_drain)
+        if new[-1]:
+            retires.append(wb.pending_entries[-1].retire_time)
+    if got is None:
+        assert met
+    else:
+        assert not met
+        assert got[0].tolist() == new
+        assert got[1].tolist() == retires
+
+
+def test_store_run_schedule_continues_the_pending_entry():
+    """A run without an opening store (every store on the line of the
+    entry pending before it) merges until that entry retires, then
+    opens one."""
+    from repro.vector.kernels import store_run_schedule
+
+    new, retires = store_run_schedule(
+        np.array([10.0, 16.0]), np.zeros(2, dtype=bool), np.zeros(2), 4,
+        12.0, float("-inf"))
+    assert new.tolist() == [False, True]
+    assert retires.tolist() == [16.0]

@@ -6,7 +6,7 @@ to the reference per-access implementation:
 * probe harness: ``sweep_fn=None`` / ``memo_key=None`` force the
   per-access loop and disable the point memo;
 * ``repro.simkernel.fastpath.ENABLED`` — the one switch over the
-  inlined bulk store stream, the numpy bulk reads, the range-op BLT
+  numpy bulk reads and store stream, the range-op BLT
   data movement, the flat ``put_scatter``, the EM3D ghost fill and the
   EM3D compute phase.
 
@@ -112,9 +112,11 @@ def _fresh_sc():
 def _machine_fingerprint(machine, sc):
     """Every observable the word loops touch: clocks, counters, unit
     state (L1 tags, DRAM open rows and last bank, pending write-buffer
-    entries, the prefetch FIFO, cached-line snapshots, outstanding
-    acknowledgements) and the raw memory words, with their types, of
-    every node."""
+    entries with their retirement hooks and senders, the prefetch FIFO,
+    cached-line snapshots, outstanding acknowledgements), the target
+    side of remote stores (inbound busy time, arrival log and total,
+    wake events) and the raw memory words, with their types, of every
+    node."""
     out = [sc.ctx.clock]
     for pe in range(machine.num_nodes):
         node = machine.node(pe)
@@ -128,7 +130,10 @@ def _machine_fingerprint(machine, sc):
                     list(ms.dram._open_row), ms.dram._last_bank,
                     wb.merged_writes, wb.drained_entries, wb._last_retire,
                     [(e.line_addr, e.enqueue_time, e.retire_time,
-                      sorted(e.words.items())) for e in wb.pending_entries],
+                      sorted(e.words.items()), e.apply_words,
+                      e.on_retire is not None,
+                      None if e.meta is None else e.meta.my_pe)
+                     for e in wb.pending_entries],
                     node.remote.reads, node.remote.cached_reads,
                     node.remote.stores,
                     sorted((line, sorted(words.items())) for line, words
@@ -137,6 +142,9 @@ def _machine_fingerprint(machine, sc):
                      for a in node.remote._acks],
                     pf.issues, pf.pops, pf._issued_since_pop,
                     [(f.ready_time, f.value) for f in pf._fifo],
+                    node.inbound_busy_until, list(node._arrivals),
+                    node.bytes_arrived_total(),
+                    None if node.wake_sink is None else list(node.wake_sink),
                     sorted((addr, type(value).__name__, value)
                            for addr, value in ms.memory.items())))
     return out
@@ -146,14 +154,23 @@ def _machine_fingerprint(machine, sc):
 _PAGE_CROSSING_DST = 0x4000 - 256
 
 
-@pytest.mark.parametrize("op", ["write_stores", "read_uncached",
+@pytest.mark.parametrize("op", ["write_stores", "write_stores_page",
+                                "write_stores_cached_source", "read_uncached",
                                 "read_cached", "read_prefetch",
                                 "read_cached_page", "read_prefetch_page",
                                 "read_cached_flush_all",
-                                "local_copy", "put"])
+                                "local_copy", "put", "put_page"])
 def test_bulk_word_loops_state_identical(op):
     def drive(sc):
         if op == "write_stores":
+            bulk.bulk_write_stores(sc, GlobalPtr(1, 0x6000), 0x0, 512)
+        elif op == "write_stores_page":
+            # Lines past the page edge drain at 83 cycles, not 68.
+            bulk.bulk_write_stores(sc, GlobalPtr(1, _PAGE_CROSSING_DST),
+                                   0x0, 512)
+        elif op == "write_stores_cached_source":
+            for offset in range(0, 512, WORD_BYTES):
+                sc.ctx.local_read(offset)
             bulk.bulk_write_stores(sc, GlobalPtr(1, 0x6000), 0x0, 512)
         elif op == "read_uncached":
             bulk.bulk_read_uncached(sc, 0x6000, GlobalPtr(1, 0x0), 512)
@@ -172,9 +189,15 @@ def test_bulk_word_loops_state_identical(op):
                                   GlobalPtr(1, 0x8), 9 * 1024)
         elif op == "local_copy":
             bulk._local_copy(sc, 0x6000, 0x0, 512)
-        else:
+        elif op == "put":
             sc.bulk_put(GlobalPtr(1, 0x6000), 0x0, 512)
             sc.sync()
+        else:
+            # At least repro.vector.bulk.MIN_WORDS words.
+            sc.bulk_put(GlobalPtr(1, _PAGE_CROSSING_DST), 0x0,
+                        40 * WORD_BYTES)
+            # Compared before the sync: its last entry still pending.
+            return
         sc.ctx.memory_barrier()
         sc.ctx.clock = sc.ctx.node.remote.wait_for_acks(sc.ctx.clock)
 
@@ -195,6 +218,21 @@ def test_bulk_word_loops_state_identical(op):
 
     assert (_machine_fingerprint(m_fast, sc_fast)
             == _machine_fingerprint(m_ref, sc_ref))
+
+
+@pytest.mark.parametrize("enabled", [False, True], ids=["reference", "fast"])
+def test_dirty_registry_lists_each_buffer_once(monkeypatch, enabled):
+    """A 64 KB store stream and a 64 KB uncached read each drain the
+    write buffer between thousands of stores; the machine's dirty
+    registry still lists each buffer at most once until a settle."""
+    monkeypatch.setattr(fastpath, "ENABLED", enabled)
+    machine, sc = _fresh_sc()
+    bulk.bulk_write_stores(sc, GlobalPtr(1, 0x400000), 0x0, 64 * KB)
+    bulk.bulk_read_uncached(sc, 0x800000, GlobalPtr(1, 0x0), 64 * KB)
+    listed = list(machine._dirty_buffers)
+    assert listed == [machine.node(0).memsys.write_buffer]
+    machine.settle()
+    assert not machine._dirty_buffers
 
 
 @pytest.mark.parametrize("mechanism", ["uncached", "cached", "prefetch"])
@@ -284,6 +322,42 @@ def test_batch_path_serves_every_fig8_read(monkeypatch):
                     == _machine_fingerprint(m_ref, sc_ref))
 
 
+#: Figure 8's bulk-write sizes, 32 B to 512 KB.
+FIG8_WRITE_SIZES = FIG8_READ_SIZES[1:]
+
+
+def test_batch_path_serves_every_fig8_store_stream(monkeypatch):
+    """Every Figure 8 store stream of at least ``MIN_WORDS`` words —
+    the ``stores`` mechanism and the ``splitc`` dispatch, 12 of the 16
+    calls — runs on the numpy kernel with no decline; the 32 B and
+    128 B points run the reference loop."""
+    pytest.importorskip("numpy")
+    import repro.vector.bulk as vector_bulk
+    from repro.vector import UnsupportedStimulus
+
+    served = []
+    real = vector_bulk.write_stores
+
+    def spy(ctx, pe, dst, src, nwords, *rest):
+        try:
+            real(ctx, pe, dst, src, nwords, *rest)
+        except UnsupportedStimulus:
+            served.append((nwords, "declined"))
+            raise
+        served.append((nwords, "served"))
+
+    monkeypatch.setattr(vector_bulk, "write_stores", spy)
+    probes.bulk_write_bandwidth_probe(
+        sizes=FIG8_WRITE_SIZES,
+        mechanisms={m: probes.WRITE_MECHANISMS[m]
+                    for m in ("stores", "splitc")})
+    big = [n // WORD_BYTES for n in FIG8_WRITE_SIZES
+           if n // WORD_BYTES >= vector_bulk.MIN_WORDS]
+    assert len(big) == 6
+    assert sorted(served) == sorted((nwords, "served")
+                                    for nwords in big * 2)
+
+
 @pytest.mark.parametrize("stride", [None, WORD_BYTES, 64])
 def test_blt_batched_copy_identical(stride):
     def drive(sc):
@@ -357,7 +431,7 @@ def _spy_fast_paths(monkeypatch) -> dict:
 
     calls = {}
     targets = [
-        (bulk, "_store_stream_fast"),
+        (vector_bulk, "write_stores"),
         (vector_bulk, "read_uncached"),
         (vector_bulk, "read_cached"),
         (vector_bulk, "read_prefetch"),

@@ -29,11 +29,13 @@ the perf gate behind ``make bench-compare``.
   regression.
 * ``--tiers`` additionally cross-checks the compute tiers: a small
   probe subset, the EM3D compute phase (the six versions the numpy
-  kernel claims, at 4 PEs) and Figure 8's uncached, prefetch and
-  cached bulk reads (every size from 8 B to 512 KB, with clocks, unit
-  state and memory words compared) are run on the vectorized tier and
-  on the reference loop (``REPRO_VECTOR=0``), and any mismatch counts
-  as a regression.  A perf gate that compares tiered timings is only
+  kernel claims, at 4 PEs), Figure 8's uncached, prefetch and cached
+  bulk reads (every size from 8 B to 512 KB, with clocks, unit state
+  and memory words compared) and its store stream (``bulk_write_stores``
+  at every size from 32 B to 512 KB, with clocks, counters,
+  acknowledgements, the target's arrival log and memory words
+  compared) are run on the vectorized tier and on the reference loop
+  (``REPRO_VECTOR=0``), and any mismatch counts as a regression.  A perf gate that compares tiered timings is only
   meaningful while the tiers agree bit for bit.
 
 Usage: bench_compare.py BASE_JSON NEW_JSON
@@ -118,12 +120,15 @@ VECTOR_EM3D_VERSIONS = ("bundle", "unroll", "get", "put", "bulk", "msg")
 BULK_READ_SIZES = tuple(8 * 4 ** k for k in range(9))
 VECTOR_BULK_READS = ("uncached", "prefetch", "cached")
 
+#: Figure 8's bulk-write sizes (32 B to 512 KB).
+BULK_WRITE_SIZES = BULK_READ_SIZES[1:]
+
 
 def check_tiers() -> tuple[list[str], list[str]]:
     """Cross-check the vectorized tier against the reference loop on a
     small probe subset, the EM3D compute phase and Figure 8's bulk
-    reads (``REPRO_VECTOR=0`` runs the reference loop for all three);
-    mismatches are regressions."""
+    reads and store stream (``REPRO_VECTOR=0`` runs the reference loop
+    for all of them); mismatches are regressions."""
     import os
 
     from repro import vector
@@ -198,6 +203,20 @@ def check_tiers() -> tuple[list[str], list[str]]:
                     f"tier mismatch bulk read {mechanism}: sizes {bad} "
                     "differ between the vectorized tier and the "
                     "reference loop")
+        os.environ["REPRO_VECTOR"] = "1"
+        vec = [_store_tier_run(n) for n in BULK_WRITE_SIZES]
+        os.environ["REPRO_VECTOR"] = "0"
+        ref = [_store_tier_run(n) for n in BULK_WRITE_SIZES]
+        if vec == ref:
+            lines.append(f"  tier ok   bulk write stores: {len(vec)} sizes, "
+                         "clocks, counters, acks, arrival log and memory "
+                         "bit-identical to the reference loop")
+        else:
+            bad = [n for n, a, b in zip(BULK_WRITE_SIZES, vec, ref)
+                   if a != b]
+            regressions.append(
+                f"tier mismatch bulk write stores: sizes {bad} differ "
+                "between the vectorized tier and the reference loop")
     finally:
         if saved is None:
             os.environ.pop("REPRO_VECTOR", None)
@@ -249,6 +268,46 @@ def _bulk_tier_run(mechanism: str, nbytes: int):
              for e in ms.write_buffer.pending_entries],
             sorted((a, type(v).__name__, v) for a, v in ms.memory.items())))
     return state
+
+
+def _store_tier_run(nbytes: int):
+    """One Figure 8 store stream on a fresh machine under the current
+    ``REPRO_VECTOR``, stopped before its memory barrier so the run's
+    last entry is still pending, then retired: the clock, every unit's
+    counters, the sender's acknowledgements, the target's arrival log
+    and every memory word (with its type) on both nodes, at both
+    points."""
+    from repro.machine.machine import Machine
+    from repro.params import t3d_machine_params
+    from repro.splitc import bulk
+    from repro.splitc.gptr import GlobalPtr
+    from repro.splitc.runtime import SplitC
+
+    machine = Machine(t3d_machine_params((2, 1, 1)))
+    sc = SplitC(machine.make_contexts()[0])
+
+    def state():
+        out = [sc.ctx.clock]
+        for node in machine.nodes:
+            ms = node.memsys
+            out.append((
+                ms.counters(), node.remote.counters(),
+                [(a.drain_time, a.ack_time, a.nbytes)
+                 for a in node.remote._acks],
+                node.inbound_busy_until, list(node._arrivals),
+                [(e.line_addr, e.enqueue_time, e.retire_time,
+                  sorted(e.words.items()))
+                 for e in ms.write_buffer.pending_entries],
+                sorted((a, type(v).__name__, v)
+                       for a, v in ms.memory.items())))
+        return out
+
+    # bulk_write_stores, split at its memory barrier.
+    bulk._store_stream(sc, GlobalPtr(1, 0x400000), 0, nbytes)
+    loop = state()
+    sc.ctx.memory_barrier()
+    sc.ctx.clock = sc.ctx.node.remote.wait_for_acks(sc.ctx.clock)
+    return loop, state()
 
 
 def main(argv=None) -> int:
